@@ -25,7 +25,12 @@ from .encoding import QIEncoder
 
 
 class KMemberAnonymizer(Anonymizer):
-    """Greedy k-member clustering with vectorized candidate scoring."""
+    """Greedy k-member clustering with vectorized candidate scoring.
+
+    Each cluster gathers the remaining rows once, into a candidate × QI
+    mismatch matrix against its seed; its k − 1 picks then only re-sum
+    that matrix over the still-uniform attributes.
+    """
 
     name = "k-member"
 
@@ -38,32 +43,40 @@ class KMemberAnonymizer(Anonymizer):
         enc = QIEncoder(relation)
         n = len(enc)
         matrix = enc.matrix
+        width = matrix.shape[1]
         remaining = np.ones(n, dtype=bool)
+        n_remaining = n
         clusters_rows: list[list[int]] = []
 
         current = int(self.rng.integers(0, n))
-        while remaining.sum() >= k:
+        while n_remaining >= k:
             candidates = np.flatnonzero(remaining)
             # Furthest-first seeding keeps clusters compact overall.
             dists = enc.distances_to(current, candidates)
-            seed = int(candidates[np.argmax(dists)])
-            remaining[seed] = False
+            pick = int(np.argmax(dists))
+            seed = int(candidates[pick])
+            # The cluster's reference profile is the seed's row and never
+            # changes, so one gather scores every pick: `mismatch` marks
+            # where each candidate differs from the seed, and `broken`
+            # marks attributes already carrying more than one value.
+            mismatch = matrix[candidates] != matrix[seed]
+            taken = np.zeros(len(candidates), dtype=bool)
+            taken[pick] = True
+            broken = np.zeros(width, dtype=bool)
             members = [seed]
-            # Cluster state: the seed's values; `broken` marks attributes
-            # already carrying more than one distinct value.
-            uniform = matrix[seed].copy()
-            broken = np.zeros(matrix.shape[1], dtype=bool)
-            while len(members) < k:
-                candidates = np.flatnonzero(remaining)
+            for _ in range(k - 1):
                 # Cost of adding candidate c = number of still-uniform
-                # attributes whose value differs from the cluster's.
-                diffs = matrix[candidates][:, ~broken] != uniform[~broken]
-                costs = diffs.sum(axis=1)
-                best = int(candidates[np.argmin(costs)])
-                newly_broken = (matrix[best] != uniform) & ~broken
-                broken |= newly_broken
-                members.append(best)
-                remaining[best] = False
+                # attributes whose value differs from the cluster's; rows
+                # already taken cost more than any real candidate, so
+                # argmin keeps its first-index tie-break over free rows.
+                costs = mismatch[:, ~broken].sum(axis=1)
+                costs[taken] = width + 1
+                best = int(np.argmin(costs))
+                broken |= mismatch[best]
+                taken[best] = True
+                members.append(int(candidates[best]))
+            remaining[candidates[taken]] = False
+            n_remaining -= k
             clusters_rows.append(members)
             current = seed
 

@@ -16,12 +16,12 @@ MinChoice and MaxFanOut).  Search effort statistics are recorded so the
 benchmarks can expose Basic's blow-up.
 
 For speed the search keeps incremental state: each distinct cluster's
-contribution to each constraint's surviving count is precomputed once
-(a cluster contributes |cluster| to σ iff it is uniform on σ's attributes
-with σ's target values), and the live assignment maintains per-cluster
-refcounts, a covered-tid map and per-constraint running counts, so a
-consistency check costs O(|candidate clusters| × cluster size) instead of
-re-suppressing the union.
+contribution to each constraint's surviving count is computed once, when
+the search first probes it (a cluster contributes |cluster| to σ iff it is
+uniform on σ's attributes with σ's target values), and the live assignment
+maintains per-cluster refcounts, a covered-tid map and per-constraint
+running counts, so a consistency check costs O(|candidate clusters| ×
+cluster size) instead of re-suppressing the union.
 
 Cluster contributions and the dynamic-candidate similarity orderings run on
 the shared columnar :class:`~repro.core.index.RelationIndex` (mask and
@@ -222,30 +222,17 @@ class ColoringSearch:
             }
         else:
             self._qi_rows = None
-        # Precompute each distinct cluster's contribution per constraint
-        # (extended lazily for dynamically generated clusters).  On the
-        # vectorized backend the columnar search-state engine owns this:
-        # it interns every distinct static cluster through the process-
-        # global contribution memo with one memo-writing segment reduction
-        # per QI constraint, instead of one preserved_count call per
-        # (cluster, σ) pair, and keeps the live-assignment state as
-        # delta-updated arrays.
+        # Each cluster's contribution per constraint is computed the first
+        # time the search probes it: the search tries a handful of the
+        # thousands of static clusters.  On the vectorized backend the
+        # columnar search-state engine owns this: it registers each probed
+        # candidate's (or counted pool's) novel clusters in one batch
+        # through the process-global contribution memo, and keeps the
+        # live-assignment state as delta-updated arrays.
         self._contrib: dict[frozenset, tuple[tuple[int, int], ...]] = {}
         self._engine: Optional[SearchState] = None
         if self._index is not None:
-            self._engine = SearchState(
-                self._index, self.graph, k, self._candidates
-            )
-        else:
-            distinct: list[frozenset] = []
-            for candidates in self._candidates.values():
-                for clustering in candidates:
-                    for cluster in clustering:
-                        if cluster not in self._contrib:
-                            self._contrib[cluster] = ()
-                            distinct.append(cluster)
-            for cluster in distinct:
-                self._contrib[cluster] = self._cluster_contributions(cluster)
+            self._engine = SearchState(self._index, self.graph, k)
         # Live assignment state (dicts on the reference backend; the engine
         # keeps columnar twins and materializes the dict forms on attribute
         # access — see ``__getattr__``).
@@ -345,8 +332,7 @@ class ColoringSearch:
         return True
 
     def _contributions(self, cluster: frozenset) -> tuple[tuple[int, int], ...]:
-        """Cached per-constraint contributions, computed lazily for dynamic
-        clusters that were not in the static candidate pools."""
+        """Cached per-constraint contributions, computed on first probe."""
         if self._engine is not None:
             return self._engine.contributions(cluster)
         cached = self._contrib.get(cluster)
@@ -364,9 +350,9 @@ class ColoringSearch:
         dropped; the strategy callback contract is ``consistent_count(i)``
         (see :mod:`repro.core.strategies`).
 
-        On the engine path each candidate is a window check against the
-        live admission-counter arrays — the cluster delta arrays were
-        interned once, so nothing is re-derived per call.
+        On the engine path the pool's novel clusters are registered in one
+        batch, then each candidate is a window check against the live
+        admission-counter arrays, so nothing is re-derived per call.
         """
         candidates = self._candidates[index]
         if self._engine is not None:

@@ -9,12 +9,14 @@ exponential search.  This module is its columnar twin, active only on the
 vectorized backend and **byte-identical** to the reference path by
 construction:
 
-* **Cluster registry** — every distinct cluster is interned once to a dense
-  id carrying its sorted row-index array and its per-constraint
-  contribution record as two aligned ``int64`` arrays (node indices,
-  deltas).  ``apply``/``revert`` are then O(|cluster| + touched σ) fancy
-  adds on a covered refcount array and the admission-counter array instead
-  of per-tid dict updates.
+* **Cluster registry** — each distinct cluster the search probes is
+  interned once, in per-probe batches, to a dense id carrying its sorted
+  row-index array and its per-constraint contribution record as two
+  aligned ``int64`` arrays (node indices, deltas); the thousands of
+  static candidate clusters the search never probes are never scored.
+  ``apply``/``revert`` are then O(|cluster| + touched σ) fancy adds on a
+  covered refcount array and the admission-counter array instead of
+  per-tid dict updates.
 * **Window checks** — ``consistent`` accumulates candidate deltas into a
   scratch vector and window-checks ``counts + Δ ≤ uppers`` against the live
   counter arrays; ``consistent_count`` reuses the same live counters for
@@ -306,7 +308,10 @@ class SearchState:
 
     Mirrors the reference dict state (``_cluster_refs`` / ``_covered`` /
     ``_counts``) as a cluster registry plus refcount and counter arrays.
-    All mutation goes through :meth:`apply`/:meth:`revert`; the dict-shaped
+    The registry starts empty: :meth:`consistent` registers a candidate's
+    novel clusters, :meth:`consistent_count` a whole node pool's and
+    :meth:`dynamic_candidates` an expansion's, each in one batch.  All
+    mutation goes through :meth:`apply`/:meth:`revert`; the dict-shaped
     views exist for tests and debugging, never for the hot path.
     """
 
@@ -315,7 +320,6 @@ class SearchState:
         index: RelationIndex,
         graph: ConstraintGraph,
         k: int,
-        candidates: dict[int, list[Clustering]],
     ):
         self.index = index
         self.graph = graph
@@ -328,10 +332,10 @@ class SearchState:
             self._uppers[node.index] = node.constraint.upper
         self._scratch = np.zeros(n_nodes, dtype=np.int64)
         self._covered = np.zeros(len(index), dtype=np.int32)
-        # Cluster registry: interned id → sparse record / refs.  The row
-        # and delta *arrays* materialize on first consistency touch — most
-        # registered static candidates are never evaluated, so eager
-        # array-building would dominate construction.
+        # Cluster registry: interned id → sparse record / refs, filled per
+        # probe (the search touches a handful of the thousands of static
+        # clusters).  The row and delta *arrays* materialize on first
+        # consistency touch.
         self._cid: dict[frozenset, int] = {}
         self._clusters: list[frozenset] = []
         self._records: list[tuple[tuple[int, int], ...]] = []
@@ -347,15 +351,6 @@ class SearchState:
         self.delta_applies = 0
         self.delta_reverts = 0
         self.batch_scored = 0
-        static: list[frozenset] = []
-        seen: set[frozenset] = set()
-        for pool in candidates.values():
-            for clustering in pool:
-                for cluster in clustering:
-                    if cluster not in seen:
-                        seen.add(cluster)
-                        static.append(cluster)
-        self.register(static)
 
     # -- registry --------------------------------------------------------------
 
@@ -417,12 +412,14 @@ class SearchState:
     def consistent(self, candidate: Clustering) -> bool:
         """Reference ``_consistent`` semantics as array window checks:
         disjoint-or-equal via the covered refcount array, upper bounds via
-        ``counts + Δ ≤ uppers`` over the live counter arrays."""
+        ``counts + Δ ≤ uppers`` over the live counter arrays.  The
+        candidate's novel clusters are registered first, in one batch."""
+        self.register(candidate)
         scratch = self._scratch
         touched = False
         ok = True
         for cluster in candidate:
-            cid = self._cid_of(cluster)
+            cid = self._cid[cluster]
             if self._refs[cid]:
                 continue  # identical cluster already chosen: nothing new
             rows, idx, delta = self._materialize(cid)
@@ -441,9 +438,11 @@ class SearchState:
         return ok
 
     def consistent_count(self, candidates: Sequence[Clustering]) -> int:
-        """Consistent candidates against the live counters — no per-call
-        contribution re-derivation (each cluster's delta arrays are
-        interned once)."""
+        """Consistent candidates against the live counters.  The whole
+        pool's novel clusters are registered in one batch first, so a
+        strategy that counts every node's pool pays one kernel pass per
+        node, not one per candidate."""
+        self.register([c for candidate in candidates for c in candidate])
         return sum(1 for candidate in candidates if self.consistent(candidate))
 
     def apply(self, candidate: Clustering) -> None:

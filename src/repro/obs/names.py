@@ -45,9 +45,10 @@ ENUM_MEMO_MISSES = "enum.memo_misses"
 #: Columnar search-state engine (:mod:`repro.core.searchstate`), vectorized
 #: backend only.  ``delta_applies``/``delta_reverts`` count first-ref /
 #: last-ref cluster transitions materialized as counter-array delta adds;
-#: ``batch_scored`` counts clusters whose contribution records were
-#: resolved through the batched memo-aware path (memo hit or kernel miss
-#: alike, so the tally is deterministic per search trajectory).  All three
+#: ``batch_scored`` counts the distinct clusters the search probed, whose
+#: contribution records were resolved through the batched memo-aware path
+#: (memo hit or kernel miss alike, so the tally is deterministic per search
+#: trajectory; never-probed static candidates are not scored).  All three
 #: aggregate per search and flush with the coloring.* effort counters.
 SEARCH_DELTA_APPLIES = "search.delta_applies"
 SEARCH_DELTA_REVERTS = "search.delta_reverts"

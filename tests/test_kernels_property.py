@@ -347,3 +347,91 @@ class TestKMemberLeftovers:
         assert len(covered) == n
         assert set(covered) == set(relation.tids)
         assert all(len(cluster) >= k for cluster in clusters)
+
+
+class TestKMemberOneGather:
+    """``KMemberAnonymizer._cluster`` gathers each cluster's candidate block
+    once, as a mismatch matrix against the seed, and masks taken rows with
+    an over-maximal cost.  The oracle below is the loop it replaced: it
+    re-gathers every remaining row for each of the k − 1 picks and keeps
+    an explicit uniform profile.  Both must yield identical clusters from
+    the same RNG — including ``argmin``'s first-index tie-break when
+    duplicate rows tie on cost — and leave the RNG at the same state.
+    """
+
+    NUM_SCHEMA = Schema.from_names(
+        qi=["A", "N", "B", "M"], sensitive=["S"], numeric=["N", "M"]
+    )
+
+    @staticmethod
+    def _cluster_oracle(rng, relation, k):
+        from repro.anonymize.encoding import QIEncoder
+
+        enc = QIEncoder(relation)
+        n = len(enc)
+        matrix = enc.matrix
+        remaining = np.ones(n, dtype=bool)
+        clusters_rows = []
+        current = int(rng.integers(0, n))
+        while remaining.sum() >= k:
+            candidates = np.flatnonzero(remaining)
+            dists = enc.distances_to(current, candidates)
+            seed = int(candidates[np.argmax(dists)])
+            remaining[seed] = False
+            members = [seed]
+            uniform = matrix[seed].copy()
+            broken = np.zeros(matrix.shape[1], dtype=bool)
+            while len(members) < k:
+                candidates = np.flatnonzero(remaining)
+                diffs = matrix[candidates][:, ~broken] != uniform[~broken]
+                costs = diffs.sum(axis=1)
+                best = int(candidates[np.argmin(costs)])
+                broken |= (matrix[best] != uniform) & ~broken
+                members.append(best)
+                remaining[best] = False
+            clusters_rows.append(members)
+            current = seed
+        leftovers = np.flatnonzero(remaining)
+        if len(leftovers):
+            KMemberAnonymizer._assign_leftovers(
+                matrix, clusters_rows, leftovers
+            )
+        tids = enc.tids
+        return [set(int(tids[r]) for r in rows) for rows in clusters_rows]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_regathering_loop(self, data):
+        k = data.draw(st.integers(1, 5), label="k")
+        residue = data.draw(st.sampled_from([0, 1, k - 1]), label="n mod k")
+        blocks = data.draw(st.integers(1, 6), label="n // k")
+        n = blocks * k + residue % k
+        numeric = data.draw(st.booleans(), label="numeric QIs")
+        if numeric:
+            row = st.tuples(
+                st.sampled_from(["a0", "a1"]),
+                st.integers(0, 3),
+                st.sampled_from(["b0", "b1", "b2"]),
+                st.floats(0, 1).map(lambda x: round(x, 1)),
+                values_s,
+            )
+            schema = self.NUM_SCHEMA
+        else:
+            row, schema = rows, SCHEMA
+        # Few distinct rows, repeated: duplicate rows tie on every cost.
+        distinct = data.draw(
+            st.lists(row, min_size=1, max_size=6), label="distinct rows"
+        )
+        picks = data.draw(
+            st.lists(
+                st.integers(0, len(distinct) - 1), min_size=n, max_size=n
+            ),
+            label="row picks",
+        )
+        relation = Relation(schema, [distinct[i] for i in picks])
+        seed = data.draw(st.integers(0, 2**16), label="rng seed")
+        rng = np.random.default_rng(seed)
+        expected = self._cluster_oracle(rng, relation, k)
+        anonymizer = KMemberAnonymizer(rng=np.random.default_rng(seed))
+        assert anonymizer.cluster(relation, k) == expected
+        assert anonymizer.rng.bit_generator.state == rng.bit_generator.state

@@ -18,7 +18,8 @@ the byte on
 
 Plus direct unit coverage of the engine internals the solve-level sweep
 cannot see: live counter views, memo content-addressing across distinct
-relation objects, warm/cold memo identity, and LRU eviction.
+relation objects, warm/cold memo identity, LRU eviction, and lazy
+registration (only the clusters the search probes are ever scored).
 """
 
 from __future__ import annotations
@@ -34,12 +35,15 @@ from repro.core.coloring import (
     diverse_clustering,
 )
 from repro.core.constraints import ConstraintSet, DiversityConstraint
-from repro.core.index import use_kernel_backend
+from repro.core.diva import run_diva
+from repro.core.index import RelationIndex, use_kernel_backend
 from repro.core.searchstate import (
     ContributionMemo,
     get_contribution_memo,
 )
+from repro.data.datasets import make_census
 from repro.data.relation import Relation, Schema
+from repro.workloads.constraint_gen import proportion_constraints
 
 pytestmark = pytest.mark.solver
 
@@ -270,3 +274,141 @@ class TestContributionMemo:
         assert hits_misses == {"search_memo_hits": 3, "search_memo_misses": 1}
         memo.clear()
         assert len(memo) == 0
+
+
+def _register_all_static(search):
+    """Score every distinct static candidate cluster up front — the eager
+    registration the search used to do at construction — on either
+    backend."""
+    static = list(
+        dict.fromkeys(
+            cluster
+            for pool in search._candidates.values()
+            for clustering in pool
+            for cluster in clustering
+        )
+    )
+    if search._engine is not None:
+        search._engine.register(static)
+    else:
+        for cluster in static:
+            search._contrib[cluster] = search._cluster_contributions(cluster)
+    return static
+
+
+@pytest.fixture(scope="module")
+def census_case():
+    """A mid-size relation whose static pools hold thousands of clusters."""
+    relation = make_census(seed=3, n_rows=600)
+    return relation, proportion_constraints(relation, 4, k=5, seed=3)
+
+
+class TestLazyRegistration:
+    """The search scores only the clusters it probes, and registering them
+    lazily changes nothing observable."""
+
+    def test_only_probed_clusters_are_scored(self, census_case):
+        relation, sigma = census_case
+        with use_kernel_backend("vectorized"):
+            get_contribution_memo().clear()
+            search = ColoringSearch(relation, sigma, 5)
+            engine = search._engine
+            assert engine.batch_scored == 0  # construction scores nothing
+            probed: list = []
+            consistent = engine.consistent
+            dynamic = engine.dynamic_candidates
+
+            def record_consistent(candidate):
+                probed.append(candidate)
+                return consistent(candidate)
+
+            def record_dynamic(index):
+                out = dynamic(index)
+                probed.extend(out)
+                return out
+
+            engine.consistent = record_consistent
+            engine.dynamic_candidates = record_dynamic
+            assert search.run().success
+        static = {
+            cluster
+            for pool in search._candidates.values()
+            for clustering in pool
+            for cluster in clustering
+        }
+        distinct_probed = {cluster for c in probed for cluster in c}
+        assert engine.batch_scored == len(distinct_probed)
+        assert 0 < engine.batch_scored * 10 < len(static)
+
+    def test_minchoice_scores_each_pool_in_one_pass(
+        self, census_case, monkeypatch
+    ):
+        """Counting a node's pool registers the whole pool first: one
+        ``preserved_count_batch`` per QI node per pool, never one per
+        candidate."""
+        relation, sigma = census_case
+        kernel = RelationIndex.preserved_count_batch
+        calls = {"in_pool": 0}
+        per_pool: list[tuple[int, int]] = []
+
+        def counting_kernel(self, clusters, constraint):
+            calls["in_pool"] += 1
+            return kernel(self, clusters, constraint)
+
+        monkeypatch.setattr(
+            RelationIndex, "preserved_count_batch", counting_kernel
+        )
+        with use_kernel_backend("vectorized"):
+            get_contribution_memo().clear()
+            search = ColoringSearch(relation, sigma, 5, strategy="minchoice")
+            engine = search._engine
+            count = engine.consistent_count
+
+            def record_count(candidates):
+                calls["in_pool"] = 0
+                out = count(candidates)
+                per_pool.append((calls["in_pool"], len(candidates)))
+                return out
+
+            engine.consistent_count = record_count
+            assert search.run().success
+        n_qi = len(engine.resolver.qi_nodes)
+        assert per_pool
+        assert all(kernel_calls in (0, n_qi) for kernel_calls, _ in per_pool)
+        # At least one pool was scored cold, in a single pass over many
+        # candidates.
+        assert any(
+            kernel_calls == n_qi and size > 1 for kernel_calls, size in per_pool
+        )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("strategy", ["maxfanout", "minchoice", "basic"])
+    def test_matches_eager_registration(
+        self, census_case, backend, strategy, monkeypatch
+    ):
+        """Releases, ``SearchStats``, RNG streams and budget partials are
+        those of a search that scored every static cluster up front."""
+        relation, sigma = census_case
+
+        def outcomes():
+            get_contribution_memo().clear()
+            release = run_diva(relation, sigma, 5, strategy=strategy, seed=4)
+            budget = _solve_outcome(relation, sigma, 5, strategy, 3)
+            return (
+                list(release.relation),
+                release.stats.as_dict(),
+                budget,
+            )
+
+        with use_kernel_backend(backend):
+            lazy = outcomes()
+            init = ColoringSearch.__init__
+
+            def eager_init(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                _register_all_static(self)
+
+            monkeypatch.setattr(ColoringSearch, "__init__", eager_init)
+            eager = outcomes()
+        assert lazy == eager
+        assert lazy[2]["outcome"] == "budget"
