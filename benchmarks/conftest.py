@@ -7,11 +7,17 @@ than absolute numbers.  The printed tables are the paper-figure series;
 run with ``pytest benchmarks/ --benchmark-only -s`` to see them.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# Reference legs import the pure-Python oracle from the ``tests`` package.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def run_once(benchmark, fn):

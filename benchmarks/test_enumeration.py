@@ -1,14 +1,14 @@
 """Enumeration-engine benchmark: columnar engine vs the per-call oracle.
 
 Runs the BENCH_obs DIVA configuration (census 2 000 × k=5 × 6 proportion
-constraints) twice on the vectorized backend and compares the
+constraints) twice and compares the
 ``coloring.enumerate_candidates`` span totals:
 
 * **engine** — the memoized rank-space engine
   (:mod:`repro.core.enumeration`), measured cold (memo cleared);
-* **legacy** — :func:`repro.core.clusterings._enumerate_generic` scoring
+* **legacy** — the oracle's :func:`tests.oracle.enumerate_generic` scoring
   and ordering through per-call :class:`RelationIndex` kernels, i.e. the
-  pre-engine vectorized enumeration this PR replaced (the 53% hot path).
+  pre-engine vectorized enumeration the engine replaced (the 53% hot path).
 
 The record lands in the run registry plus ``BENCH_enum.json``; the gate
 asserts the engine cuts enumeration time by at least 3×.
@@ -31,6 +31,7 @@ from repro.core.enumeration import get_enum_memo
 from repro.data.datasets import make_census
 from repro.obs import SPAN_DIVA_RUN, SPAN_ENUMERATE_CANDIDATES
 from repro.workloads.constraint_gen import proportion_constraints
+from tests.oracle import enumerate_generic
 
 pytestmark = pytest.mark.bench
 
@@ -43,7 +44,7 @@ REPEATS = 3
 
 def _legacy_dispatch(index, pool, k, lo, hi, max_candidates, caps, rng, already=0):
     """The pre-engine vectorized path, shimmed to the engine's call shape."""
-    return clusterings._enumerate_generic(
+    return enumerate_generic(
         index.relation,
         pool,
         k,

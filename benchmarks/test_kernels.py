@@ -1,7 +1,7 @@
 """Micro-benchmarks: vectorized kernels vs the pure-Python reference.
 
-Times each DIVA hot-path kernel on a census-shaped relation under both
-backends and records the results through the run registry
+Times each DIVA hot-path kernel on a census-shaped relation, columnar
+index against the pure-Python oracle of ``tests/oracle.py``, and records the results through the run registry
 (``benchmarks/results/runs/`` plus the ``BENCH_kernels.json`` duplicate at
 the repo root) — ``(op, n, reference_s, vectorized_s, speedup)`` rows — so
 the perf trajectory of the columnar kernel layer is tracked from the PR
@@ -28,15 +28,16 @@ import numpy as np
 import pytest
 
 from repro.bench.reporting import write_bench_artifact
-from repro.core.clusterings import (
-    cluster_suppression_cost_reference,
-    greedy_k_partition,
-    preserved_count_reference,
-    qi_distance_reference,
-)
 from repro.core.constraints import DiversityConstraint
 from repro.core.index import RelationIndex
 from repro.data.datasets import make_census
+from tests.oracle import (
+    cluster_suppression_cost_reference,
+    greedy_k_partition_reference,
+    preserved_count_reference,
+    qi_distance_reference,
+    qi_rows_of,
+)
 
 pytestmark = pytest.mark.bench
 
@@ -53,15 +54,6 @@ def _best_time(fn, repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _qi_rows_of(relation):
-    schema = relation.schema
-    positions = [schema.position(a) for a in schema.qi_names]
-    return {
-        tid: tuple(relation.row(tid)[p] for p in positions)
-        for tid, _ in relation
-    }
 
 
 def _partitions(tids: list[int], offset: int) -> tuple[frozenset, ...]:
@@ -90,7 +82,7 @@ def test_kernel_speedups():
 
     t_build = _best_time(lambda: RelationIndex(relation), repeats=3)
     index = RelationIndex(relation)
-    qi_rows = _qi_rows_of(relation)
+    qi_rows = qi_rows_of(relation)
 
     results = [
         {
@@ -167,11 +159,11 @@ def test_kernel_speedups():
     # -- greedy k-partition ---------------------------------------------------
     items = tuple(tids[:PARTITION_N])
     ref_s = _best_time(
-        lambda: greedy_k_partition(items, CLUSTER_SIZE, qi_rows=qi_rows),
+        lambda: greedy_k_partition_reference(items, CLUSTER_SIZE, qi_rows),
         repeats=3,
     )
     vec_s = _best_time(
-        lambda: greedy_k_partition(items, CLUSTER_SIZE, index=index), repeats=3
+        lambda: index.greedy_k_partition(items, CLUSTER_SIZE), repeats=3
     )
     record("greedy_k_partition", PARTITION_N, ref_s, vec_s)
 
@@ -193,12 +185,13 @@ def test_kernel_speedups():
 
 
 def test_equivalence_at_bench_scale():
-    """The two backends agree on the bench-sized relation too (the property
-    tests cover small random relations; this pins the large shapes)."""
+    """The index and the oracle agree on the bench-sized relation too (the
+    property tests cover small random relations; this pins the large
+    shapes)."""
     relation = make_census(seed=1, n_rows=500)
     tids = list(relation.tids)
     index = RelationIndex(relation)
-    qi_rows = _qi_rows_of(relation)
+    qi_rows = qi_rows_of(relation)
     sigma = DiversityConstraint(
         "RACE",
         relation.row(tids[0])[relation.schema.position("RACE")],
@@ -209,9 +202,9 @@ def test_equivalence_at_bench_scale():
     assert sum(
         index.preserved_count(c, sigma) for c in clusters
     ) == preserved_count_reference(relation, clusters, sigma)
-    assert greedy_k_partition(
-        tuple(tids), CLUSTER_SIZE, index=index
-    ) == greedy_k_partition(tuple(tids), CLUSTER_SIZE, qi_rows=qi_rows)
+    assert index.greedy_k_partition(
+        tuple(tids), CLUSTER_SIZE
+    ) == greedy_k_partition_reference(tuple(tids), CLUSTER_SIZE, qi_rows)
     rng_rows = np.random.default_rng(0).choice(tids, size=64, replace=False)
     sample = [int(t) for t in rng_rows]
     matrix = index.pairwise_qi_hamming(sample)

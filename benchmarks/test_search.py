@@ -2,8 +2,10 @@
 pure-Python reference bookkeeping.
 
 Runs the BENCH_obs workload (census at 2 000 rows, six proportional
-constraints, k=5, maxfanout) end to end under both kernel backends and
-records, per backend, the search construction wall (candidate enumeration
+constraints, k=5, maxfanout) end to end twice — on the production engines
+(``vectorized``) and with the dict-state search and pure-Python
+enumeration of ``tests/oracle.py`` injected (``reference``) — and
+records, per leg, the search construction wall (candidate enumeration
 plus engine registration), the solve wall, and the node-expansion
 throughput ``nodes_expanded / solve_s``.  Results go through the run
 registry (``benchmarks/results/runs/`` plus ``BENCH_search.json`` at the
@@ -27,15 +29,16 @@ repeat, so the timed region is the real incremental-maintenance path.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro.bench.reporting import write_bench_artifact
 from repro.core.coloring import ColoringSearch
-from repro.core.index import use_kernel_backend
 from repro.data.datasets import make_census
 from repro.workloads.constraint_gen import proportion_constraints
+from tests import oracle
 
 pytestmark = pytest.mark.bench
 
@@ -54,7 +57,7 @@ def _measure(backend: str, relation, sigma) -> dict:
     best_init = float("inf")
     best_solve = float("inf")
     nodes = 0
-    with use_kernel_backend(backend):
+    with oracle.injected() if backend == "reference" else nullcontext():
         for _ in range(REPEATS):
             start = time.perf_counter()
             search = ColoringSearch(
@@ -85,8 +88,8 @@ def test_search_state_engine_throughput():
     relation = make_census(seed=SEED, n_rows=N_ROWS)
     sigma = proportion_constraints(relation, N_CONSTRAINTS, k=K, seed=SEED)
 
-    # Reference first so its cold index build cannot warm the vectorized
-    # leg's caches; each backend keeps its own kernel-level memo spaces.
+    # Reference first so its cold enumeration cannot warm the vectorized
+    # leg's memos; the oracle neither reads nor fills them.
     reference = _measure("reference", relation, sigma)
     vectorized = _measure("vectorized", relation, sigma)
 

@@ -5,16 +5,9 @@ from .clusterings import (
     clustering_suppression_cost,
     enumerate_clusterings,
     preserved_count,
-    preserved_count_reference,
     qi_distance,
 )
-from .index import (
-    RelationIndex,
-    get_index,
-    kernel_backend,
-    set_kernel_backend,
-    use_kernel_backend,
-)
+from .index import RelationIndex, get_index
 from .approx import (
     ApproxSolver,
     approx_clustering,
@@ -82,15 +75,11 @@ __all__ = [
     "min_cluster_size",
     "enumerate_clusterings",
     "preserved_count",
-    "preserved_count_reference",
     "qi_distance",
     "cluster_suppression_cost",
     "clustering_suppression_cost",
     "RelationIndex",
     "get_index",
-    "kernel_backend",
-    "set_kernel_backend",
-    "use_kernel_backend",
     "SelectionStrategy",
     "BasicStrategy",
     "MinChoiceStrategy",

@@ -45,12 +45,7 @@ import numpy as np
 
 from .. import obs
 from ..data.relation import Relation
-from .clusterings import (
-    clustering_suppression_cost,
-    greedy_k_partition,
-    preserved_count,
-    qi_hamming_rows,
-)
+from .clusterings import clustering_suppression_cost, preserved_count
 from .coloring import (
     ColoringResult,
     SearchBudgetExceeded,
@@ -59,7 +54,7 @@ from .coloring import (
 )
 from .constraints import ConstraintSet
 from .graph import ConstraintGraph, build_graph
-from .index import get_index, vectorized_enabled
+from .index import get_index
 from .searchstate import ContributionResolver
 from .suppress import normalize_clustering
 
@@ -128,55 +123,28 @@ class ApproxSolver:
         self.graph = graph if graph is not None else build_graph(relation, constraints)
         self.warm_start = dict(warm_start) if warm_start else {}
         self.stats = SearchStats()
-        self._index = get_index(relation) if vectorized_enabled() else None
-        schema = relation.schema
-        self._qi = set(schema.qi_names)
-        if self._index is None:
-            positions = [schema.position(a) for a in schema.qi_names]
-            self._qi_rows: Optional[dict[int, tuple]] = {
-                tid: tuple(relation.row(tid)[p] for p in positions)
-                for node in self.graph
-                for tid in node.target_tids
-            }
-        else:
-            self._qi_rows = None
+        self._index = get_index(relation)
+        self._qi = set(relation.schema.qi_names)
         # Live state, same shape as the exact search's incremental state:
         # chosen distinct clusters, covered tids, per-node surviving counts.
         self._chosen: set[frozenset] = set()
         self._covered: set[int] = set()
         self._counts: dict[int, int] = {n.index: 0 for n in self.graph}
         self._contrib_cache: dict[frozenset, tuple[tuple[int, int], ...]] = {}
-        # On the vectorized backend, contribution records resolve through
-        # the same content-addressed memo the exact search's engine
-        # populates — an ``auto``-tier escalation therefore re-reads the
-        # warm-start clusters' records instead of recomputing them.
-        self._resolver = (
-            ContributionResolver(self._index, self.graph)
-            if self._index is not None
-            else None
-        )
+        # Contribution records resolve through the same content-addressed
+        # memo the exact search's engine populates — an ``auto``-tier
+        # escalation therefore re-reads the warm-start clusters' records
+        # instead of recomputing them.
+        self._resolver = ContributionResolver(self._index, self.graph)
 
     # -- contributions ---------------------------------------------------------
 
     def _contributions(self, cluster: frozenset) -> tuple[tuple[int, int], ...]:
         """(node index, surviving-count delta) pairs — exact semantics."""
         cached = self._contrib_cache.get(cluster)
-        if cached is not None:
-            return cached
-        if self._resolver is not None:
+        if cached is None:
             cached = self._resolver.records([cluster])[0]
-        else:
-            contribs = []
-            for node in self.graph:
-                if not any(a in self._qi for a in node.constraint.attrs):
-                    continue  # fixed globally; a precheck concern, not ours
-                delta = preserved_count(
-                    self.relation, (cluster,), node.constraint
-                )
-                if delta:
-                    contribs.append((node.index, delta))
-            cached = tuple(contribs)
-        self._contrib_cache[cluster] = cached
+            self._contrib_cache[cluster] = cached
         return cached
 
     def _consistent(self, candidate: Clustering) -> bool:
@@ -353,20 +321,9 @@ class ApproxSolver:
         seeds = pool[:: max(1, len(pool) // _SEEDS_PER_NODE)][:_SEEDS_PER_NODE]
         seen: set[tuple] = set()
         for seed in seeds:
-            if self._index is not None:
-                ordered = self._index.rank_by_hamming(seed, pool)
-            else:
-                seed_row = self._qi_rows[seed]
-                ordered = sorted(
-                    pool,
-                    key=lambda t: (
-                        qi_hamming_rows(seed_row, self._qi_rows[t]),
-                        t,
-                    ),
-                )
-            subset = tuple(ordered[:size])
+            subset = tuple(self._index.rank_by_hamming(seed, pool)[:size])
             clustering = normalize_clustering(
-                greedy_k_partition(subset, self.k, self._qi_rows, index=self._index)
+                self._index.greedy_k_partition(subset, self.k)
             )
             key = tuple(tuple(sorted(c)) for c in clustering)
             if key in seen:

@@ -23,16 +23,12 @@ maintains per-cluster refcounts, a covered-tid map and per-constraint
 running counts, so a consistency check costs O(|candidate clusters| ×
 cluster size) instead of re-suppressing the union.
 
-Cluster contributions and the dynamic-candidate similarity orderings run on
-the shared columnar :class:`~repro.core.index.RelationIndex` (mask and
-uniformity reductions over integer code matrices) unless the reference
-kernel backend is active, in which case the retained pure-Python paths are
-used — see :mod:`repro.core.index`.  On the vectorized backend the whole
-incremental live state additionally moves into the columnar
-:class:`~repro.core.searchstate.SearchState` engine (counter arrays, a
-covered-row refcount vector, an interned cluster registry backed by the
-process-global contribution memo); the dict-based state below remains the
-reference semantics the engine must reproduce byte for byte.
+That incremental live state lives in the columnar
+:class:`~repro.core.searchstate.SearchState` engine over the shared
+:class:`~repro.core.index.RelationIndex`: counter arrays, a covered-row
+refcount vector and an interned cluster registry backed by the
+process-global contribution memo.  The dict-based bookkeeping it replaced
+survives only as the test oracle it is pinned byte-identical against.
 """
 
 from __future__ import annotations
@@ -46,17 +42,11 @@ import numpy as np
 
 from .. import obs
 from ..data.relation import Relation
-from .clusterings import (
-    enumerate_clusterings,
-    greedy_k_partition,
-    preserved_count,
-    preserved_count_reference,
-    qi_hamming_rows,
-)
+from .clusterings import enumerate_clusterings
 from .constraints import ConstraintSet
 from .errors import ReproError
 from .graph import ConstraintGraph, build_graph
-from .index import get_index, vectorized_enabled
+from .index import get_index
 from .searchstate import SearchState
 from .strategies import SelectionStrategy, make_strategy
 from .suppress import normalize_clustering
@@ -208,84 +198,13 @@ class ColoringSearch:
                     rng=self.rng,
                     target_tids=set(node.target_tids),
                 )
-        # Backend captured at construction: the vectorized path shares the
-        # relation's columnar index (and its cluster-contribution memo);
-        # the reference path keeps projected QI row tuples.
-        self._index = get_index(relation) if vectorized_enabled() else None
-        if self._index is None:
-            schema = relation.schema
-            qi_positions = [schema.position(a) for a in schema.qi_names]
-            self._qi_rows: Optional[dict[int, tuple]] = {
-                tid: tuple(relation.row(tid)[p] for p in qi_positions)
-                for node in self.graph
-                for tid in node.target_tids
-            }
-        else:
-            self._qi_rows = None
-        # Each cluster's contribution per constraint is computed the first
-        # time the search probes it: the search tries a handful of the
-        # thousands of static clusters.  On the vectorized backend the
-        # columnar search-state engine owns this: it registers each probed
-        # candidate's (or counted pool's) novel clusters in one batch
-        # through the process-global contribution memo, and keeps the
-        # live-assignment state as delta-updated arrays.
-        self._contrib: dict[frozenset, tuple[tuple[int, int], ...]] = {}
-        self._engine: Optional[SearchState] = None
-        if self._index is not None:
-            self._engine = SearchState(self._index, self.graph, k)
-        # Live assignment state (dicts on the reference backend; the engine
-        # keeps columnar twins and materializes the dict forms on attribute
-        # access — see ``__getattr__``).
+        # Live-assignment state: the columnar engine over the relation's
+        # shared index scores each cluster's contributions the first time
+        # the search probes it (a handful of the thousands of static
+        # clusters), in per-probe batches through the process-global
+        # contribution memo.
+        self._engine = SearchState(get_index(relation), self.graph, k)
         self._live_assignment: dict[int, Clustering] = {}
-        if self._engine is None:
-            self._cluster_refs: dict[frozenset, int] = {}
-            self._covered: dict[int, int] = {}
-            self._counts: dict[int, int] = {n.index: 0 for n in self.graph}
-            self._uppers: dict[int, int] = {
-                n.index: n.constraint.upper for n in self.graph
-            }
-
-    def __getattr__(self, name: str):
-        # On the vectorized backend the engine's arrays are authoritative;
-        # the dict-shaped live state the reference backend stores directly
-        # is materialized on demand (tests and debugging tools read it —
-        # never the hot path).
-        engine = self.__dict__.get("_engine")
-        if engine is not None:
-            if name == "_counts":
-                return engine.counts_view()
-            if name == "_uppers":
-                return engine.uppers_view()
-            if name == "_cluster_refs":
-                return engine.cluster_refs_view()
-            if name == "_covered":
-                return engine.covered_view()
-        raise AttributeError(
-            f"{type(self).__name__} object has no attribute {name!r}"
-        )
-
-    def _cluster_contributions(self, cluster: frozenset) -> tuple[tuple[int, int], ...]:
-        """(node index, surviving-count delta) pairs for one cluster.
-
-        Constraints over only non-QI attributes are excluded: their counts
-        are fixed globally by the relation (suppression cannot change them),
-        so they neither need clusters nor constrain the search — their
-        feasibility is a precheck in :class:`~repro.core.problem.KSigmaProblem`.
-        """
-        qi = set(self.relation.schema.qi_names)
-        contribs = []
-        for node in self.graph:
-            if not any(a in qi for a in node.constraint.attrs):
-                continue
-            if self._index is not None:
-                delta = self._index.preserved_count(cluster, node.constraint)
-            else:
-                delta = preserved_count_reference(
-                    self.relation, (cluster,), node.constraint
-                )
-            if delta:
-                contribs.append((node.index, delta))
-        return tuple(contribs)
 
     # -- consistency ---------------------------------------------------------
 
@@ -293,103 +212,24 @@ class ColoringSearch:
         """The (capped) candidate clusterings of node ``index``."""
         return list(self._candidates[index])
 
-    def is_consistent(
-        self, candidate: Clustering, assignment: dict[int, Clustering]
-    ) -> bool:
-        """Reference (non-incremental) consistency check for an arbitrary
-        assignment; the search itself uses the incremental ``_consistent``."""
-        self.stats.consistency_checks += 1
-        chosen = merged_clusters(assignment)
-        if not clusters_consistent(candidate, chosen):
-            return False
-        qi = set(self.relation.schema.qi_names)
-        union = merged_clusters(assignment, candidate)
-        for node in self.graph:
-            if not any(a in qi for a in node.constraint.attrs):
-                continue  # count fixed globally; handled by the precheck
-            count = preserved_count(self.relation, union, node.constraint)
-            if count > node.constraint.upper:
-                return False
-        return True
-
     def _consistent(self, candidate: Clustering) -> bool:
         """Incremental consistency against the live assignment state."""
         self.stats.consistency_checks += 1
-        if self._engine is not None:
-            return self._engine.consistent(candidate)
-        deltas: dict[int, int] = {}
-        for cluster in candidate:
-            if cluster in self._cluster_refs:
-                continue  # identical cluster already chosen: nothing new
-            for tid in cluster:
-                if tid in self._covered:
-                    return False  # partial overlap with a chosen cluster
-            for j, delta in self._contributions(cluster):
-                deltas[j] = deltas.get(j, 0) + delta
-        for j, delta in deltas.items():
-            if self._counts[j] + delta > self._uppers[j]:
-                return False
-        return True
-
-    def _contributions(self, cluster: frozenset) -> tuple[tuple[int, int], ...]:
-        """Cached per-constraint contributions, computed on first probe."""
-        if self._engine is not None:
-            return self._engine.contributions(cluster)
-        cached = self._contrib.get(cluster)
-        if cached is None:
-            cached = self._cluster_contributions(cluster)
-            self._contrib[cluster] = cached
-        return cached
+        return self._engine.consistent(candidate)
 
     def consistent_count(self, index: int) -> int:
         """How many of node ``index``'s candidates remain consistent with
         the live assignment (used by the MinChoice strategy).
 
-        Always evaluated against the incremental live-assignment state —
-        the former ``assignment`` parameter was silently ignored, so it was
-        dropped; the strategy callback contract is ``consistent_count(i)``
-        (see :mod:`repro.core.strategies`).
-
-        On the engine path the pool's novel clusters are registered in one
-        batch, then each candidate is a window check against the live
-        admission-counter arrays, so nothing is re-derived per call.
+        Always evaluated against the incremental live-assignment state; the
+        strategy callback contract is ``consistent_count(i)`` (see
+        :mod:`repro.core.strategies`).  The pool's novel clusters are
+        registered in one batch, then each candidate is a window check
+        against the live admission-counter arrays.
         """
         candidates = self._candidates[index]
-        if self._engine is not None:
-            self.stats.consistency_checks += len(candidates)
-            return self._engine.consistent_count(candidates)
-        return sum(1 for c in candidates if self._consistent(c))
-
-    def _apply(self, candidate: Clustering) -> None:
-        if self._engine is not None:
-            self._engine.apply(candidate)
-            return
-        for cluster in candidate:
-            refs = self._cluster_refs.get(cluster, 0)
-            self._cluster_refs[cluster] = refs + 1
-            if refs == 0:
-                for tid in cluster:
-                    self._covered[tid] = self._covered.get(tid, 0) + 1
-                for j, delta in self._contributions(cluster):
-                    self._counts[j] += delta
-
-    def _revert(self, candidate: Clustering) -> None:
-        if self._engine is not None:
-            self._engine.revert(candidate)
-            return
-        for cluster in candidate:
-            refs = self._cluster_refs[cluster] - 1
-            if refs == 0:
-                del self._cluster_refs[cluster]
-                for tid in cluster:
-                    if self._covered[tid] == 1:
-                        del self._covered[tid]
-                    else:
-                        self._covered[tid] -= 1
-                for j, delta in self._contributions(cluster):
-                    self._counts[j] -= delta
-            else:
-                self._cluster_refs[cluster] = refs
+        self.stats.consistency_checks += len(candidates)
+        return self._engine.consistent_count(candidates)
 
     # -- search --------------------------------------------------------------
 
@@ -441,15 +281,14 @@ class ColoringSearch:
                 obs.COLORING_CONSISTENCY_CHECKS: stats.consistency_checks,
                 obs.COLORING_PRUNES: stats.prunes,
             }
-            if self._engine is not None:
-                # Engine effort is deterministic for a given search
-                # trajectory (``batch_scored`` counts clusters *resolved*
-                # through the batched path, whether the memo or the kernel
-                # supplied the record), so pooled executors replaying
-                # worker snapshots stay byte-identical to sequential runs.
-                counters[obs.SEARCH_DELTA_APPLIES] = self._engine.delta_applies
-                counters[obs.SEARCH_DELTA_REVERTS] = self._engine.delta_reverts
-                counters[obs.SEARCH_BATCH_SCORED] = self._engine.batch_scored
+            # Engine effort is deterministic for a given search trajectory
+            # (``batch_scored`` counts clusters *resolved* through the
+            # batched path, whether the memo or the kernel supplied the
+            # record), so pooled executors replaying worker snapshots stay
+            # byte-identical to sequential runs.
+            counters[obs.SEARCH_DELTA_APPLIES] = self._engine.delta_applies
+            counters[obs.SEARCH_DELTA_REVERTS] = self._engine.delta_reverts
+            counters[obs.SEARCH_BATCH_SCORED] = self._engine.batch_scored
             obs.incr_many(counters)
 
     def _color(self, assignment: dict[int, Clustering], uncolored: set[int]) -> bool:
@@ -474,10 +313,10 @@ class ColoringSearch:
                 continue
             assignment[node_index] = candidate
             uncolored.discard(node_index)
-            self._apply(candidate)
+            self._engine.apply(candidate)
             if self._color(assignment, uncolored):
                 return True
-            self._revert(candidate)
+            self._engine.revert(candidate)
             del assignment[node_index]
             uncolored.add(node_index)
             self.stats.backtracks += 1
@@ -494,45 +333,7 @@ class ColoringSearch:
         refinement that lets nested/overlapping constraints coordinate
         instead of colliding.
         """
-        if self._engine is not None:
-            return self._engine.dynamic_candidates(index)
-        node = self.graph.node(index)
-        sigma = node.constraint
-        qi = set(self.relation.schema.qi_names)
-        if not any(a in qi for a in sigma.attrs):
-            return []  # globally determined; the static [()] suffices
-        have = self._counts[index]
-        need = max(0, sigma.lower - have)
-        if need == 0:
-            # Lower bound already met by shared clusters: color with the
-            # empty clustering (upper bounds were enforced as they grew).
-            return [()]
-        pool = sorted(t for t in node.target_tids if t not in self._covered)
-        size = max(self.k, need)
-        if size > len(pool) or have + size > sigma.upper:
-            return []
-        out: list[Clustering] = []
-        # A few similarity-seeded subsets of the residual pool.
-        seeds = pool[:: max(1, len(pool) // 3)][:3]
-        seen: set[tuple] = set()
-        for seed in seeds:
-            if self._index is not None:
-                ordered = self._index.rank_by_hamming(seed, pool)
-            else:
-                seed_row = self._qi_rows[seed]
-                ordered = sorted(
-                    pool,
-                    key=lambda t: (qi_hamming_rows(seed_row, self._qi_rows[t]), t),
-                )
-            subset = tuple(ordered[:size])
-            clustering = normalize_clustering(
-                greedy_k_partition(subset, self.k, self._qi_rows, index=self._index)
-            )
-            key = tuple(tuple(sorted(c)) for c in clustering)
-            if key not in seen:
-                seen.add(key)
-                out.append(clustering)
-        return out
+        return self._engine.dynamic_candidates(index)
 
     def _charge_step(self) -> None:
         if self.max_steps is not None and self.stats.candidates_tried >= self.max_steps:

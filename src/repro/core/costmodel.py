@@ -178,9 +178,9 @@ def enumeration_size_caps(
     ascending-size loop visits first, are exhausted before the budget runs
     out on expensive large ones.
 
-    Both kernel backends consult this one policy (it feeds the enumeration
-    memo key), so calibration shifts sampling identically everywhere and
-    cross-backend equivalence is preserved.
+    The enumeration engine and its test oracle consult this one policy (it
+    feeds the enumeration memo key), so calibration shifts sampling
+    identically everywhere and oracle equivalence is preserved.
     """
     if hi < lo:
         return {}

@@ -45,7 +45,7 @@ from .constraints import ConstraintSet, DiversityConstraint
 from .enumeration import get_enum_memo
 from .searchstate import get_contribution_memo
 from .errors import UnsatisfiableError
-from .index import get_index, vectorized_enabled
+from .index import get_index
 from .integrate import IntegrationReport, integrate
 from .problem import KSigmaProblem
 from .strategies import SelectionStrategy, make_strategy
@@ -223,7 +223,7 @@ class Diva:
         cache_before = None
         enum_before = None
         search_before = None
-        if obs.enabled() and vectorized_enabled():
+        if obs.enabled():
             cache_before = dict(get_index(relation).cache_stats())
             enum_before = dict(get_enum_memo().stats())
             search_before = dict(get_contribution_memo().stats())

@@ -4,9 +4,9 @@
 subsets and partitions through pure-Python ``itertools`` loops with one
 kernel call per seed ordering, per partition round and per scored
 clustering — the 53% hot path once the kernels themselves went columnar.
-This module replaces the generation pipeline for the vectorized backend
-while reproducing the reference enumeration **byte for byte** (same
-clusterings, same order, built-in ``int`` tids):
+This module replaces that generation pipeline while reproducing the old
+loop — kept as the test oracle ``tests/oracle.py:enumerate_generic`` —
+**byte for byte** (same clusterings, same order, built-in ``int`` tids):
 
 * **Rank space** — the target pool ``Iσ`` is sorted ascending, so rank
   ``r`` ↔ ``pool[r]`` is a monotone bijection.  Every step of the

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..data.relation import Relation
 from .constraints import ConstraintSet, DiversityConstraint
-from .index import get_index, vectorized_enabled
+from .index import get_index
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ class ConstraintGraph:
     def __init__(self, relation: Relation, constraints: ConstraintSet):
         constraints.validate_against(relation.schema)
         # Target-tid sets (``Iσ``) and pairwise overlaps come from the
-        # columnar index's boolean target masks when the vectorized kernel
-        # backend is active; the reference backend scans rows per σ.
-        masks = None
-        if vectorized_enabled() and len(constraints):
+        # columnar index's boolean target masks (an empty Σ builds no index).
+        masks = []
+        self._nodes = []
+        if len(constraints):
             index = get_index(relation)
             masks = [index.artifacts(sigma).target_mask for sigma in constraints]
             tids = index.tids
@@ -56,28 +56,17 @@ class ConstraintGraph:
                 ConstraintNode(i, sigma, frozenset(tids[mask].tolist()))
                 for i, (sigma, mask) in enumerate(zip(constraints, masks))
             ]
-        else:
-            self._nodes = [
-                ConstraintNode(i, sigma, frozenset(sigma.target_tids(relation)))
-                for i, sigma in enumerate(constraints)
-            ]
         self._adjacency: dict[int, set[int]] = {n.index: set() for n in self._nodes}
         self._overlaps: dict[frozenset, frozenset] = {}
         for i, a in enumerate(self._nodes):
             for b in self._nodes[i + 1:]:
-                if masks is not None:
-                    shared_mask = masks[a.index] & masks[b.index]
-                    shared = (
-                        frozenset(tids[shared_mask].tolist())
-                        if shared_mask.any()
-                        else frozenset()
-                    )
-                else:
-                    shared = a.target_tids & b.target_tids
-                if shared:
+                shared = masks[a.index] & masks[b.index]
+                if shared.any():
                     self._adjacency[a.index].add(b.index)
                     self._adjacency[b.index].add(a.index)
-                    self._overlaps[frozenset((a.index, b.index))] = frozenset(shared)
+                    self._overlaps[frozenset((a.index, b.index))] = frozenset(
+                        tids[shared].tolist()
+                    )
         obs.incr_many(
             {obs.GRAPH_NODES: len(self._nodes), obs.GRAPH_EDGES: len(self._overlaps)}
         )

@@ -26,22 +26,10 @@ rest of ``core`` builds on: uniformity reductions (``preserved_count``,
 ``hamming_from``, ``pairwise_qi_hamming``, ``rank_by_hamming``) and the
 similarity-chunked ``greedy_k_partition``.
 
-Backends
---------
-The pure-Python implementations are retained as a *reference backend*; the
-module-level flag selects which one the public helpers in
-:mod:`repro.core.clusterings`, :mod:`repro.core.coloring` and
-:mod:`repro.core.graph` dispatch to:
-
->>> from repro.core.index import use_kernel_backend
->>> with use_kernel_backend("reference"):
-...     ...  # hot paths run the pure-Python code
-
-The default is ``vectorized``; set the ``REPRO_KERNEL_BACKEND`` environment
-variable to ``reference`` to flip a whole process (useful for A/B timing —
-see ``benchmarks/test_kernels.py``).  The two backends are exactly
-equivalent; ``tests/test_kernels_property.py`` asserts it property-by-
-property.
+The index is the only production implementation of these hot paths.
+The pure-Python per-tuple versions they replaced live on as a test-only
+oracle (``tests/oracle.py``); ``tests/test_kernels_property.py`` pins the
+two exactly equivalent, property by property.
 
 Unlike :class:`repro.anonymize.encoding.QIEncoder` (the mixed
 categorical/numeric *metric* encoder this class generalizes), the index
@@ -53,76 +41,17 @@ Definition 2.3.
 
 from __future__ import annotations
 
-import os
 import threading
-import warnings
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
 from ..data.relation import Relation
 from .constraints import DiversityConstraint
 
-VECTORIZED = "vectorized"
-REFERENCE = "reference"
-_BACKENDS = (VECTORIZED, REFERENCE)
-
-_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-
-def _initial_backend() -> str:
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return VECTORIZED
-    name = raw.strip().lower()
-    if name in _BACKENDS:
-        return name
-    warnings.warn(
-        f"ignoring unknown {_ENV_VAR}={raw!r}; expected one of {_BACKENDS}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return VECTORIZED
-
-
-_backend = _initial_backend()
 _build_lock = threading.Lock()
-
-
-def kernel_backend() -> str:
-    """The active kernel backend: ``"vectorized"`` or ``"reference"``."""
-    return _backend
-
-
-def set_kernel_backend(name: str) -> str:
-    """Select the kernel backend; returns the previous one."""
-    global _backend
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; expected one of {_BACKENDS}"
-        )
-    previous = _backend
-    _backend = name
-    return previous
-
-
-@contextmanager
-def use_kernel_backend(name: str) -> Iterator[None]:
-    """Temporarily switch the kernel backend (for tests and benchmarks)."""
-    previous = set_kernel_backend(name)
-    try:
-        yield
-    finally:
-        set_kernel_backend(previous)
-
-
-def vectorized_enabled() -> bool:
-    """True iff the vectorized backend is active."""
-    return _backend == VECTORIZED
 
 
 def get_index(relation: Relation) -> "RelationIndex":
@@ -647,12 +576,13 @@ class RelationIndex:
     ) -> tuple[frozenset, ...]:
         """Similarity-chunked partition of ``items`` into blocks of size ≥ k.
 
-        Exactly the reference algorithm of
-        :func:`repro.core.clusterings.greedy_k_partition` — repeatedly seed
-        a block with the first remaining tuple, sort the remainder by
-        (distance to seed, tid), take the k nearest, and let the final
-        block absorb the < k leftovers — with the per-round sort key
-        computed as one broadcasted Hamming reduction.
+        Repeatedly seed a block with the first remaining tuple, sort the
+        remainder by (QI Hamming distance to seed, tid), take the k
+        nearest, and let the final block absorb the < k leftovers, so every
+        block has size in [k, 2k) — with the per-round sort key computed as
+        one broadcasted Hamming reduction.  This is the workhorse partition
+        for large target subsets, where enumerating set partitions is
+        hopeless but one low-suppression partition suffices.
         """
         remaining = np.fromiter(items, dtype=np.int64, count=len(items))
         rows = self.rows_of(items)

@@ -109,12 +109,11 @@ def _init_worker_pickled(relation: Relation) -> None:
     The index is built eagerly so every task the worker runs shares it —
     the same amortization as the shared-memory path, minus the zero-copy.
     """
-    from .index import get_index, vectorized_enabled
+    from .index import get_index
 
     _WORKER["relation"] = relation
     _WORKER["attach_ns"] = 0
-    if vectorized_enabled():
-        get_index(relation)
+    get_index(relation)
 
 
 def _solve_component(

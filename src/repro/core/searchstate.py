@@ -1,13 +1,12 @@
 """Columnar incremental search-state engine for the exact coloring search.
 
 :class:`~repro.core.coloring.ColoringSearch` keeps incremental live state —
-per-cluster refcounts, a covered-tid map, per-constraint surviving counts —
-as Python dicts, and re-derives per-candidate contribution sums on every
-consistency check.  After PR 6 vectorized candidate *enumeration*, that
-dict-and-tuple machinery was the last frozenset hot path multiplied by the
-exponential search.  This module is its columnar twin, active only on the
-vectorized backend and **byte-identical** to the reference path by
-construction:
+per-cluster refcounts, a covered-tid map, per-constraint surviving counts.
+Kept as Python dicts, with per-candidate contribution sums re-derived on
+every consistency check, that bookkeeping was the last frozenset hot path
+multiplied by the exponential search.  This module holds it as arrays and
+is **byte-identical** to the dict bookkeeping (kept as the test oracle in
+``tests/oracle.py``) by construction:
 
 * **Cluster registry** — each distinct cluster the search probes is
   interned once, in per-probe batches, to a dense id carrying its sorted
@@ -143,10 +142,9 @@ class ContributionResolver:
 
     Shared by the exact search's engine and the approximation solver so a
     budget-escalated warm start re-reads the records the exact tier already
-    resolved.  ``records`` returns, per cluster, the same
-    ``(node index, surviving-count delta)`` pairs
-    ``ColoringSearch._cluster_contributions`` produces — QI-touching nodes
-    in graph order, zero deltas dropped.
+    resolved.  ``records`` returns, per cluster, its
+    ``(node index, surviving-count delta)`` pairs — QI-touching nodes in
+    graph order, zero deltas dropped.
     """
 
     __slots__ = (
@@ -260,8 +258,7 @@ class ContributionResolver:
     def records(
         self, clusters: Sequence[frozenset]
     ) -> list[tuple[tuple[int, int], ...]]:
-        """Sparse ``(node index, delta)`` records, zero deltas dropped —
-        the exact shape of ``ColoringSearch._cluster_contributions``."""
+        """Sparse ``(node index, delta)`` records, zero deltas dropped."""
         idxs = self.node_indices
         return [
             tuple((idxs[j], d) for j, d in enumerate(vec) if d)
@@ -306,8 +303,9 @@ def _lockstep_partition(
 class SearchState:
     """Columnar live-assignment state for one coloring search.
 
-    Mirrors the reference dict state (``_cluster_refs`` / ``_covered`` /
-    ``_counts``) as a cluster registry plus refcount and counter arrays.
+    Holds the live assignment (chosen-cluster refcounts, covered tuples,
+    per-constraint counts) as a cluster registry plus refcount and counter
+    arrays.
     The registry starts empty: :meth:`consistent` registers a candidate's
     novel clusters, :meth:`consistent_count` a whole node pool's and
     :meth:`dynamic_candidates` an expansion's, each in one batch.  All
@@ -410,7 +408,7 @@ class SearchState:
     # -- live-state transitions ------------------------------------------------
 
     def consistent(self, candidate: Clustering) -> bool:
-        """Reference ``_consistent`` semantics as array window checks:
+        """Incremental consistency as array window checks:
         disjoint-or-equal via the covered refcount array, upper bounds via
         ``counts + Δ ≤ uppers`` over the live counter arrays.  The
         candidate's novel clusters are registered first, in one batch."""
@@ -487,11 +485,13 @@ class SearchState:
         return cached
 
     def dynamic_candidates(self, index: int) -> list[Clustering]:
-        """Residual-pool clusterings, byte-identical to the reference
-        ``ColoringSearch._dynamic_candidates`` (see its docstring for the
-        algorithm), with all seeds ordered in one broadcasted Hamming
-        gather, all subsets partitioned in lockstep rank space, and novel
-        clusters contribution-scored in one batch per constraint."""
+        """Residual-pool clusterings for node ``index`` (see
+        ``ColoringSearch._dynamic_candidates`` for the algorithm): up to
+        three similarity-seeded subsets of the uncovered target pool, sized
+        to the remaining shortfall and greedy k-partitioned.  All seeds are
+        ordered in one broadcasted Hamming gather, all subsets partitioned
+        in lockstep rank space, and novel clusters contribution-scored in
+        one batch per constraint."""
         node = self.graph.node(index)
         sigma = node.constraint
         if not any(a in self.resolver.qi for a in sigma.attrs):

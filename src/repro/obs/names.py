@@ -30,9 +30,9 @@ INDEX_CLUSTER_CACHE_MISSES = "index.cluster_cache_misses"
 #: Candidate enumeration: subsets materialized per call and scored
 #: candidates dropped by the top-``max_candidates`` (cost, size) cutoff
 #: before frozenset materialization (dominated: a same-size candidate
-#: exists at no higher cost for every kept slot).  Emitted identically by
-#: both kernel backends and on memo hits, so enumeration-effort counters
-#: never depend on cache temperature or backend.
+#: exists at no higher cost for every kept slot).  Emitted identically on
+#: memo hits, so enumeration-effort counters never depend on cache
+#: temperature.
 ENUM_SUBSETS_GENERATED = "enum.subsets_generated"
 ENUM_DOMINATED_PRUNED = "enum.dominated_pruned"
 
@@ -42,8 +42,8 @@ ENUM_DOMINATED_PRUNED = "enum.dominated_pruned"
 ENUM_MEMO_HITS = "enum.memo_hits"
 ENUM_MEMO_MISSES = "enum.memo_misses"
 
-#: Columnar search-state engine (:mod:`repro.core.searchstate`), vectorized
-#: backend only.  ``delta_applies``/``delta_reverts`` count first-ref /
+#: Columnar search-state engine (:mod:`repro.core.searchstate`).
+#: ``delta_applies``/``delta_reverts`` count first-ref /
 #: last-ref cluster transitions materialized as counter-array delta adds;
 #: ``batch_scored`` counts the distinct clusters the search probed, whose
 #: contribution records were resolved through the batched memo-aware path

@@ -88,9 +88,6 @@ def new_record(
     obs_block: Optional[dict] = None,
 ) -> dict:
     """Build a schema-versioned record, stamped but not yet persisted."""
-    if "REPRO_KERNEL_BACKEND" in os.environ:
-        config = dict(config or {})
-        config.setdefault("backend", os.environ["REPRO_KERNEL_BACKEND"])
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,

@@ -12,9 +12,9 @@ existing occurrences (breaking λl), and ``t``'s own values add occurrences
 :class:`AdmissionState` performs that check *incrementally*: per-constraint
 release counts are maintained as running totals and each candidate host is
 evaluated from its own rows plus ``t`` only — no rescan of the release.
-Per-group σ-match counts are seeded from the PR-1 columnar index
-(:meth:`repro.core.index.RelationIndex.target_tids`) when the vectorized
-backend is enabled, and from a plain row scan otherwise.
+Per-constraint counts and per-group σ-match counts are seeded from the
+columnar index (:meth:`repro.core.index.RelationIndex.target_tids`): ``Iσ``
+is both σ's release count and, intersected with a group, its match seed.
 
 Group patterns can only *gain* stars here, never lose them.  That
 monotonicity is what keeps extension sound on top of DIVA's Integrate
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.constraints import ConstraintSet, DiversityConstraint
-from ..core.index import get_index, vectorized_enabled
+from ..core.index import get_index
 from ..data.relation import STAR, Relation
 
 
@@ -68,44 +68,21 @@ class AdmissionState:
             _GroupView(pattern, tids)
             for pattern, tids in release.qi_groups().items()
         ]
-        # Running per-constraint counts over the (extended) release.  Seeded
-        # from the columnar index when available: Iσ doubles as both the
-        # global count and the per-group match seed below.
-        self._target_tids: Optional[dict[DiversityConstraint, frozenset]] = None
-        if vectorized_enabled() and len(release) > 0:
-            index = get_index(release)
-            self._target_tids = {
-                sigma: index.target_tids(sigma) for sigma in constraints
-            }
-            self.counts = {
-                sigma: len(tids) for sigma, tids in self._target_tids.items()
-            }
-        else:
-            self.counts = {sigma: sigma.count(release) for sigma in constraints}
+        # Running per-constraint counts over the (extended) release.  Iσ
+        # doubles as both the global count and the per-group match seed.
+        index = get_index(release)
+        self._target_tids = {sigma: index.target_tids(sigma) for sigma in constraints}
+        self.counts = {sigma: len(tids) for sigma, tids in self._target_tids.items()}
         self.admitted: list[tuple[int, tuple]] = []  # (tid, original row)
 
     # -- per-group σ-match seeding -------------------------------------------
 
     def _seed_matches(self, group: _GroupView) -> dict[DiversityConstraint, int]:
-        if group.matches is not None:
-            return group.matches
-        if self._target_tids is not None:
+        if group.matches is None:
             group.matches = {
                 sigma: len(group.tids & tids)
                 for sigma, tids in self._target_tids.items()
             }
-        else:
-            matches: dict[DiversityConstraint, int] = {}
-            rows = [self._release.row(tid) for tid in group.tids]
-            position = self._schema.position
-            for sigma in self._constraints:
-                pairs = [(position(a), v) for a, v in zip(sigma.attrs, sigma.values)]
-                matches[sigma] = sum(
-                    1
-                    for row in rows
-                    if all(row[p] == v for p, v in pairs)
-                )
-            group.matches = matches
         return group.matches
 
     # -- candidate evaluation ------------------------------------------------

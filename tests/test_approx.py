@@ -17,6 +17,7 @@ Three contracts, per ISSUE 7:
 """
 
 import pickle
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -38,11 +39,11 @@ from repro.core.coloring import (
 )
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.diva import Diva, run_diva
-from repro.core.index import use_kernel_backend
 from repro.core.suppress import suppress
 from repro.data.relation import Relation, Schema
 from repro.metrics.diversity_check import check_diversity
 from repro.metrics.stats import is_k_anonymous
+from tests import oracle
 
 pytestmark = pytest.mark.solver
 
@@ -289,20 +290,54 @@ class TestWarmStart:
 
 
 class TestBackendFidelity:
-    """The budget-escalation pipeline is kernel-backend invariant.
+    """The budget-escalation pipeline matches the oracle byte for byte.
 
     The search-state engine (``repro.core.searchstate``) must not change a
     byte of the ``SearchBudgetExceeded.partial`` payload — the warm start
     the auto tier escalates from — nor of the escalated result itself.
+    ``reference`` runs inject the dict-state search and the index-free
+    approx solver of ``tests/oracle.py``.
     """
 
+    @staticmethod
+    def _under(backend):
+        return oracle.injected() if backend == "reference" else nullcontext()
+
     def _exhaust_under(self, backend, relation, constraints, max_steps):
-        with use_kernel_backend(backend):
+        with self._under(backend):
             with pytest.raises(SearchBudgetExceeded) as excinfo:
                 diverse_clustering(
                     relation, constraints, 2, max_steps=max_steps
                 )
         return excinfo.value
+
+    @given(
+        relations(min_rows=6, max_rows=18),
+        constraint_sets(),
+        st.sampled_from(["approx", "auto"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_solver_matches_oracle(self, relation, sigma_set, solver):
+        """Cold approx passes and budget-escalated warm starts (``auto`` at
+        a one-step budget) land on the oracle's result."""
+
+        def solve():
+            try:
+                result = diverse_clustering(
+                    relation, sigma_set, 2, solver=solver, max_steps=1
+                )
+            except SearchBudgetExceeded as exc:
+                return exc.partial["assignment"], exc.partial["stats"].as_dict()
+            return (
+                result.success,
+                result.assignment,
+                result.clustering,
+                result.stats.as_dict(),
+            )
+
+        with oracle.injected():
+            ref = solve()
+        assert solve() == ref
 
     @pytest.mark.parametrize("max_steps", [1, 3, 7])
     def test_partial_payload_identical_across_backends(
@@ -331,7 +366,7 @@ class TestBackendFidelity:
             exc = self._exhaust_under(
                 backend, paper_relation, paper_constraints, 1
             )
-            with use_kernel_backend(backend):
+            with self._under(backend):
                 result = escalate_from_budget(
                     paper_relation, paper_constraints, 2, exc=exc
                 )

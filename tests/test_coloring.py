@@ -12,6 +12,7 @@ from repro.core.coloring import (
 )
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.suppress import suppress
+from tests import oracle
 
 
 class TestClustersConsistent:
@@ -148,34 +149,36 @@ class TestSearchMechanics:
     def test_incremental_matches_reference_consistency(
         self, paper_relation, paper_constraints
     ):
-        """The fast in-search check agrees with the reference implementation."""
+        """The fast in-search check agrees with the oracle's
+        non-incremental re-suppress-and-recount check."""
         search = ColoringSearch(paper_relation, paper_constraints, k=2)
         for index in (0, 1, 2):
             for candidate in search.candidates(index):
-                assert search._consistent(candidate) == search.is_consistent(
-                    candidate, {}
+                assert search._consistent(candidate) == oracle.is_consistent(
+                    search, candidate, {}
                 )
 
     def test_incremental_after_apply(self, paper_relation, paper_constraints):
         search = ColoringSearch(paper_relation, paper_constraints, k=2)
         first = search.candidates(0)[0]
-        search._apply(first)
+        search._engine.apply(first)
         assignment = {0: first}
         for index in (1, 2):
             for candidate in search.candidates(index):
-                assert search._consistent(candidate) == search.is_consistent(
-                    candidate, assignment
+                assert search._consistent(candidate) == oracle.is_consistent(
+                    search, candidate, assignment
                 ), (index, candidate)
 
     def test_revert_restores_state(self, paper_relation, paper_constraints):
         search = ColoringSearch(paper_relation, paper_constraints, k=2)
-        counts_before = dict(search._counts)
+        engine = search._engine
+        counts_before = engine.counts_view()
         candidate = search.candidates(2)[0]
-        search._apply(candidate)
-        search._revert(candidate)
-        assert search._counts == counts_before
-        assert search._cluster_refs == {}
-        assert search._covered == {}
+        engine.apply(candidate)
+        engine.revert(candidate)
+        assert engine.counts_view() == counts_before
+        assert engine.cluster_refs_view() == {}
+        assert engine.covered_view() == {}
 
     def test_shared_cluster_refcounting(self, paper_relation):
         """Two constraints satisfied by the same cluster share a color."""
@@ -186,11 +189,12 @@ class TestSearchMechanics:
             ]
         )
         search = ColoringSearch(paper_relation, constraints, k=2)
+        engine = search._engine
         shared = frozenset({9, 10})  # Female Asians
-        search._apply((shared,))
-        search._apply((shared,))
-        assert search._cluster_refs[shared] == 2
-        search._revert((shared,))
-        assert search._cluster_refs[shared] == 1
-        search._revert((shared,))
-        assert shared not in search._cluster_refs
+        engine.apply((shared,))
+        engine.apply((shared,))
+        assert engine.cluster_refs_view()[shared] == 2
+        engine.revert((shared,))
+        assert engine.cluster_refs_view()[shared] == 1
+        engine.revert((shared,))
+        assert shared not in engine.cluster_refs_view()

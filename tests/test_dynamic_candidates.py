@@ -37,9 +37,9 @@ class TestShortfallSizing:
         search = ColoringSearch(nested_relation, constraints, k=2)
         # Color the child first with a 4-tuple Female cluster.
         child_candidate = search.candidates(0)[0]
-        search._apply(child_candidate)
+        search._engine.apply(child_candidate)
         # The parent's count is now ≥ 4 (the cluster is uniform on ETH).
-        assert search._counts[1] >= 4
+        assert search._engine.counts_view()[1] >= 4
         dynamic = search._dynamic_candidates(1)
         assert dynamic == [()]
 
@@ -52,7 +52,7 @@ class TestShortfallSizing:
         )
         search = ColoringSearch(nested_relation, constraints, k=2)
         first = search.candidates(0)[0]
-        search._apply(first)
+        search._engine.apply(first)
         covered = set().union(*first) if first else set()
         for clustering in search._dynamic_candidates(1):
             for cluster in clustering:
@@ -84,8 +84,8 @@ class TestShortfallSizing:
             c for c in search.candidates(0)
             if sum(len(x) for x in c) == 6
         )
-        search._apply(child)
-        have = search._counts[1]
+        search._engine.apply(child)
+        have = search._engine.counts_view()[1]
         for clustering in search._dynamic_candidates(1):
             added = sum(len(c) for c in clustering)
             assert have + added <= 8

@@ -1,13 +1,15 @@
 """Tests for the columnar candidate-enumeration engine (``repro.core.enumeration``).
 
-Pins the engine byte-identical to the reference enumeration (content,
-order, tid types and RNG stream), the content-addressed memo's
+Pins the engine byte-identical to the reference enumeration oracle
+(content, order, tid types and RNG stream), the content-addressed memo's
 transparency (warm results and generator states match cold runs exactly),
-the cost-model per-size sampling caps shared by both backends, and the
-np.int64-coercion regression in the reference sampled path.
+the cost-model per-size sampling caps shared with the oracle, and the
+np.int64-coercion regression in the oracle's sampled path.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,19 +18,16 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import costmodel
-from repro.core.clusterings import (
-    _similarity_seeded_subsets,
-    enumerate_clusterings,
-)
+from repro.core.clusterings import enumerate_clusterings
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.costmodel import CostModel, enumeration_size_caps, schema_key
 from repro.core.diva import Diva
 from repro.core.enumeration import get_enum_memo
-from repro.core.index import use_kernel_backend
 from repro.data.datasets import make_census
 from repro.data.relation import Relation, Schema
 from repro.stream import StreamingAnonymizer
 from repro.workloads.constraint_gen import proportion_constraints
+from tests import oracle
 
 
 @pytest.fixture(autouse=True)
@@ -39,7 +38,7 @@ def _cold_memo():
     get_enum_memo().clear()
 
 
-# -- np.int64 coercion regression (reference sampled path) ---------------------
+# -- np.int64 coercion regression (oracle sampled path) ------------------------
 
 
 class TestSampledPathIntCoercion:
@@ -54,18 +53,18 @@ class TestSampledPathIntCoercion:
         rng = np.random.default_rng(3)
         # cap < len(pool) forces sampled seeds; small cap leaves room for
         # the random-fill loop too.
-        subsets = _similarity_seeded_subsets(qi_rows, pool, 5, rng, cap=12)
+        subsets = oracle.similarity_seeded_subsets(qi_rows, pool, 5, rng, cap=12)
         assert subsets
         for subset in subsets:
             assert all(type(t) is int for t in subset)
 
     def test_mixed_path_enumeration_uniform_types_and_unique(self):
         """A pool hitting the sampled path dedups against itself and yields
-        built-in ints on both backends."""
+        built-in ints, on the engine and on the oracle."""
         relation = make_census(seed=3, n_rows=300)
         sigma = proportion_constraints(relation, 1, k=5, seed=3)[0]
-        for backend in ("reference", "vectorized"):
-            with use_kernel_backend(backend):
+        for use_oracle in (True, False):
+            with oracle.injected() if use_oracle else nullcontext():
                 found = enumerate_clusterings(
                     relation,
                     sigma,
@@ -81,7 +80,7 @@ class TestSampledPathIntCoercion:
                     assert all(type(t) is int for t in cluster)
 
 
-# -- backend equivalence (hypothesis) ------------------------------------------
+# -- oracle equivalence (hypothesis) -------------------------------------------
 
 
 SCHEMA = Schema.from_names(qi=["A", "B", "C"], sensitive=["S"])
@@ -132,11 +131,10 @@ class TestBackendEquivalence:
         """
         rng_vec = np.random.default_rng(seed)
         rng_ref = np.random.default_rng(seed)
-        with use_kernel_backend("vectorized"):
-            vec = enumerate_clusterings(
-                relation, sigma, k, max_candidates=mc, rng=rng_vec
-            )
-        with use_kernel_backend("reference"):
+        vec = enumerate_clusterings(
+            relation, sigma, k, max_candidates=mc, rng=rng_vec
+        )
+        with oracle.injected():
             ref = enumerate_clusterings(
                 relation, sigma, k, max_candidates=mc, rng=rng_ref
             )
@@ -152,11 +150,10 @@ class TestBackendEquivalence:
             for mc in (8, 64):
                 rng_vec = np.random.default_rng(11)
                 rng_ref = np.random.default_rng(11)
-                with use_kernel_backend("vectorized"):
-                    vec = enumerate_clusterings(
-                        relation, sigma, 5, max_candidates=mc, rng=rng_vec
-                    )
-                with use_kernel_backend("reference"):
+                vec = enumerate_clusterings(
+                    relation, sigma, 5, max_candidates=mc, rng=rng_vec
+                )
+                with oracle.injected():
                     ref = enumerate_clusterings(
                         relation, sigma, 5, max_candidates=mc, rng=rng_ref
                     )
@@ -167,17 +164,6 @@ class TestBackendEquivalence:
 
 
 # -- enumeration memo ----------------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def _vectorized_backend_for_memo_tests(request):
-    """Memo behaviour only exists on the vectorized backend; pin it so the
-    suite passes identically under REPRO_KERNEL_BACKEND=reference."""
-    if request.cls in (TestEnumerationMemo, TestStreamingMemoReuse):
-        with use_kernel_backend("vectorized"):
-            yield
-    else:
-        yield
 
 
 class TestEnumerationMemo:

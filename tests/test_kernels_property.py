@@ -1,11 +1,12 @@
-"""Property tests: the vectorized kernels equal the pure-Python reference.
+"""Property tests: the columnar kernels equal the pure-Python oracle.
 
-The columnar kernel layer (``repro.core.index``) re-implements every hot
+The columnar kernel layer (``repro.core.index``) implements every hot
 path — preserved counts, QI Hamming distances, suppression-cost scoring,
 similarity orderings, greedy partitioning — as NumPy reductions.  These
 tests pin the contract that makes that safe: on *any* relation, cluster
-set and constraint, the two backends agree exactly, including full
-end-to-end candidate enumeration and coloring runs.
+set and constraint, the kernels agree exactly with the per-tuple
+reference code kept in ``tests/oracle.py``, including full end-to-end
+candidate enumeration and coloring runs with the oracle injected.
 """
 
 from hypothesis import given, settings
@@ -14,23 +15,26 @@ from hypothesis import strategies as st
 from repro.anonymize import make_anonymizer
 from repro.anonymize.kmember import KMemberAnonymizer
 from repro.core.clusterings import (
-    _nearest_by_hamming,
-    cluster_suppression_cost_reference,
     clustering_suppression_cost,
     enumerate_clusterings,
-    greedy_k_partition,
     preserved_count,
-    preserved_count_reference,
-    qi_distance_reference,
 )
 from repro.core.coloring import SearchBudgetExceeded, diverse_clustering
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.graph import build_graph
-from repro.core.index import get_index, use_kernel_backend
+from repro.core.index import get_index
 from repro.core.suppress import suppress
 from repro.data.relation import Relation, Schema
 
 import numpy as np
+
+from tests import oracle
+from tests.oracle import (
+    cluster_suppression_cost_reference,
+    preserved_count_reference,
+    qi_distance_reference,
+    qi_rows_of,
+)
 
 SCHEMA = Schema.from_names(qi=["A", "B", "C"], sensitive=["S"])
 
@@ -74,15 +78,6 @@ def constraints(draw):
     return DiversityConstraint(attr, value, lower, upper)
 
 
-def _qi_rows_of(relation):
-    schema = relation.schema
-    positions = [schema.position(a) for a in schema.qi_names]
-    return {
-        tid: tuple(relation.row(tid)[p] for p in positions)
-        for tid, _ in relation
-    }
-
-
 class TestPreservedCountEquivalence:
     @given(relations_with_clustering(), constraints())
     @settings(max_examples=80, deadline=None)
@@ -95,18 +90,18 @@ class TestPreservedCountEquivalence:
     @given(relations_with_clustering(), constraints())
     @settings(max_examples=40, deadline=None)
     def test_dispatcher_agrees_across_backends(self, rc, sigma):
+        """The public dispatcher (batched ``preserved_count_many``) agrees
+        with the oracle too."""
         relation, clustering = rc
-        with use_kernel_backend("vectorized"):
-            vec = preserved_count(relation, clustering, sigma)
-        with use_kernel_backend("reference"):
-            ref = preserved_count(relation, clustering, sigma)
-        assert vec == ref
+        assert preserved_count(
+            relation, clustering, sigma
+        ) == preserved_count_reference(relation, clustering, sigma)
 
     @given(relations_with_clustering(), constraints())
     @settings(max_examples=40, deadline=None)
     def test_star_cells_handled_like_reference(self, rc, sigma):
         """The index factorizes STAR to its own code — suppressed relations
-        count identically under both backends."""
+        count exactly as the oracle counts them."""
         relation, clustering = rc
         suppressed = suppress(relation, clustering)
         full = (frozenset(suppressed.tids),) if len(suppressed) else ()
@@ -156,12 +151,15 @@ class TestHammingEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_nearest_by_hamming_matches_reference(self, relation):
         index = get_index(relation)
-        qi_rows = _qi_rows_of(relation)
+        qi_rows = qi_rows_of(relation)
         tids = sorted(relation.tids)
         seed, candidates = tids[0], tids[1:]
-        vec = _nearest_by_hamming(seed, candidates, None, index)
-        ref = _nearest_by_hamming(seed, candidates, qi_rows, None)
+        vec = oracle.nearest_by_hamming(seed, candidates, None, index)
+        ref = oracle.nearest_by_hamming(seed, candidates, qi_rows)
         assert vec == ref
+        assert index.rank_by_hamming(
+            seed, tids
+        ) == oracle.rank_by_hamming_reference(seed, tids, qi_rows)
 
 
 class TestSuppressionCostEquivalence:
@@ -179,11 +177,9 @@ class TestSuppressionCostEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_clustering_cost_across_backends(self, rc):
         relation, clustering = rc
-        with use_kernel_backend("vectorized"):
-            vec = clustering_suppression_cost(relation, clustering)
-        with use_kernel_backend("reference"):
-            ref = clustering_suppression_cost(relation, clustering)
-        assert vec == ref
+        assert clustering_suppression_cost(relation, clustering) == sum(
+            cluster_suppression_cost_reference(relation, c) for c in clustering
+        )
 
 
 class TestPartitionEquivalence:
@@ -191,10 +187,10 @@ class TestPartitionEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_greedy_k_partition(self, relation, k):
         index = get_index(relation)
-        qi_rows = _qi_rows_of(relation)
+        qi_rows = qi_rows_of(relation)
         items = tuple(sorted(relation.tids))
-        vec = greedy_k_partition(items, k, index=index)
-        ref = greedy_k_partition(items, k, qi_rows=qi_rows)
+        vec = index.greedy_k_partition(items, k)
+        ref = oracle.greedy_k_partition_reference(items, k, qi_rows)
         assert vec == ref
         assert all(len(block) >= min(k, len(items)) for block in vec)
 
@@ -203,29 +199,27 @@ class TestEndToEndEquivalence:
     @given(relations(min_rows=4, max_rows=16), constraints(), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_enumerate_clusterings(self, relation, sigma, k):
-        with use_kernel_backend("vectorized"):
-            vec = enumerate_clusterings(
-                relation, sigma, k, max_candidates=8, rng=np.random.default_rng(7)
-            )
-        with use_kernel_backend("reference"):
+        vec = enumerate_clusterings(
+            relation, sigma, k, max_candidates=8, rng=np.random.default_rng(7)
+        )
+        with oracle.injected():
             ref = enumerate_clusterings(
                 relation, sigma, k, max_candidates=8, rng=np.random.default_rng(7)
             )
         assert vec == ref
 
     @staticmethod
-    def _run_search(relation, sigma_set, backend):
-        with use_kernel_backend(backend):
-            try:
-                return diverse_clustering(
-                    relation,
-                    sigma_set,
-                    k=2,
-                    max_steps=3_000,
-                    rng=np.random.default_rng(3),
-                )
-            except SearchBudgetExceeded as exc:
-                return exc
+    def _run_search(relation, sigma_set):
+        try:
+            return diverse_clustering(
+                relation,
+                sigma_set,
+                k=2,
+                max_steps=3_000,
+                rng=np.random.default_rng(3),
+            )
+        except SearchBudgetExceeded as exc:
+            return exc
 
     @given(
         relations(min_rows=6, max_rows=14),
@@ -238,13 +232,14 @@ class TestEndToEndEquivalence:
             if sigma not in unique:
                 unique.append(sigma)
         sigma_set = ConstraintSet(unique)
-        vec = self._run_search(relation, sigma_set, "vectorized")
-        ref = self._run_search(relation, sigma_set, "reference")
+        vec = self._run_search(relation, sigma_set)
+        with oracle.injected():
+            ref = self._run_search(relation, sigma_set)
         if isinstance(vec, SearchBudgetExceeded) or isinstance(
             ref, SearchBudgetExceeded
         ):
-            # Hard instances may exhaust the step budget — but then both
-            # backends must exhaust it at exactly the same point.
+            # Hard instances may exhaust the step budget — but then the
+            # engine and the oracle must exhaust it at exactly the same point.
             assert type(vec) is type(ref)
             assert (
                 vec.partial["stats"].as_dict() == ref.partial["stats"].as_dict()
@@ -260,19 +255,25 @@ class TestEndToEndEquivalence:
     )
     @settings(max_examples=40, deadline=None)
     def test_graph_build(self, relation, sigma_list):
+        """Iσ sets from the index's target masks equal a row scan
+        (``sigma.target_tids``); edges and overlap labels equal the
+        pairwise intersections of those sets."""
         unique = []
         for sigma in sigma_list:
             if sigma not in unique:
                 unique.append(sigma)
         sigma_set = ConstraintSet(unique)
-        with use_kernel_backend("vectorized"):
-            vec = build_graph(relation, sigma_set)
-        with use_kernel_backend("reference"):
-            ref = build_graph(relation, sigma_set)
-        assert [n.target_tids for n in vec] == [n.target_tids for n in ref]
-        assert vec.edges == ref.edges
-        for i, j in vec.edges:
-            assert vec.overlap(i, j) == ref.overlap(i, j)
+        graph = build_graph(relation, sigma_set)
+        targets = [frozenset(sigma.target_tids(relation)) for sigma in unique]
+        assert [n.target_tids for n in graph] == targets
+        expected_edges = []
+        for i in range(len(targets)):
+            for j in range(i + 1, len(targets)):
+                shared = targets[i] & targets[j]
+                assert graph.overlap(i, j) == shared
+                if shared:
+                    expected_edges.append((i, j))
+        assert graph.edges == expected_edges
 
 class TestKMemberLeftovers:
     """Leftover assignment at cluster-boundary sizes (n % k ∈ {0, 1, k-1}).

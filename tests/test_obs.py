@@ -12,7 +12,7 @@ Covers the four contracts the layer promises:
   to < 5% over an uninstrumented baseline.
 * **Behavior neutrality** — DIVA output (published relation, clustering,
   search stats, RNG consumption) is identical with sinks enabled vs
-  disabled, on both kernel backends (hypothesis property test).
+  disabled (hypothesis property test).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro import obs
 from repro.obs import tracectx
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.diva import Diva
-from repro.core.index import RelationIndex, use_kernel_backend
+from repro.core.index import RelationIndex
 from repro.core.parallel import component_coloring
 from repro.core.strategies import make_strategy
 from repro.data.datasets import make_census
@@ -563,7 +563,6 @@ def _run_diva(relation, sigma, with_sink):
     }
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @settings(max_examples=12, deadline=None)
 @given(
     data=st.lists(rows, min_size=8, max_size=16),
@@ -571,12 +570,11 @@ def _run_diva(relation, sigma, with_sink):
         st.sampled_from(sigma_pool), min_size=1, max_size=2, unique=True
     ),
 )
-def test_sinks_do_not_change_behavior(backend, data, sigma):
+def test_sinks_do_not_change_behavior(data, sigma):
     relation = Relation(SCHEMA, data)
     constraints = ConstraintSet(sigma)
-    with use_kernel_backend(backend):
-        disabled = _run_diva(relation, constraints, with_sink=False)
-        enabled = _run_diva(relation, constraints, with_sink=True)
+    disabled = _run_diva(relation, constraints, with_sink=False)
+    enabled = _run_diva(relation, constraints, with_sink=True)
     assert enabled == disabled
 
 

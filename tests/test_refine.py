@@ -1,18 +1,20 @@
 """Tests for the suppression-minimality refinement pass."""
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.diva import run_diva
-from repro.core.index import use_kernel_backend
 from repro.core.refine import refine_clusters, refine_result
 from repro.core.suppress import suppress
 from repro.data.datasets import make_popsyn
 from repro.data.relation import Relation, Schema, generalizes
 from repro.metrics.stats import is_k_anonymous
 from repro.workloads.constraint_gen import proportion_constraints
+from tests import oracle
 
 
 @pytest.fixture
@@ -139,12 +141,12 @@ def refine_instance(draw):
 
 
 class TestRefineResultProperty:
-    """refine_result's contract, property-checked on both kernel backends.
+    """refine_result's contract, property-checked.
 
     For any instance: refinement never *increases* the suppression cost,
     never breaks k-anonymity, and never un-satisfies a constraint the DIVA
-    run satisfied — and the reference and vectorized backends agree on the
-    refined relation.
+    run satisfied — and a DIVA run on the injected oracle refines to the
+    same relation.
     """
 
     @given(refine_instance())
@@ -158,8 +160,8 @@ class TestRefineResultProperty:
         constraints = ConstraintSet([DiversityConstraint("A", value, 2, c)])
 
         outcomes = []
-        for backend in ("reference", "vectorized"):
-            with use_kernel_backend(backend):
+        for use_oracle in (True, False):
+            with oracle.injected() if use_oracle else nullcontext():
                 result = run_diva(
                     relation, constraints, k, best_effort=True, seed=0
                 )

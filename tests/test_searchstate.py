@@ -5,8 +5,8 @@ search's per-candidate dict bookkeeping with delta-updated counter arrays
 and a content-addressed contribution memo — but it is an *implementation*
 of the reference semantics, not a variant of them.  These tests pin the
 contract with hypothesis: for every (R, Σ, k, strategy, budget) drawn,
-the vectorized engine and the pure-Python reference path must agree to
-the byte on
+the columnar engine and the dict-state oracle (``tests/oracle.py``,
+injected with pytest ``monkeypatch``) must agree to the byte on
 
 * the solve outcome — success flag, assignment, clustering, satisfied,
 * the full ``SearchStats`` dict (node expansions, candidates tried,
@@ -17,12 +17,15 @@ the byte on
   the live-assignment snapshot and the partial stats.
 
 Plus direct unit coverage of the engine internals the solve-level sweep
-cannot see: live counter views, memo content-addressing across distinct
-relation objects, warm/cold memo identity, LRU eviction, and lazy
-registration (only the clusters the search probes are ever scored).
+cannot see: live counter views, memoized contribution records against
+the oracle's per-node preserved counts, memo content-addressing across
+distinct relation objects, warm/cold memo identity, LRU eviction, and
+lazy registration (only the clusters the search probes are ever scored).
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -36,14 +39,17 @@ from repro.core.coloring import (
 )
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.diva import run_diva
-from repro.core.index import RelationIndex, use_kernel_backend
+from repro.core.graph import build_graph
+from repro.core.index import RelationIndex, get_index
 from repro.core.searchstate import (
     ContributionMemo,
+    ContributionResolver,
     get_contribution_memo,
 )
 from repro.data.datasets import make_census
 from repro.data.relation import Relation, Schema
 from repro.workloads.constraint_gen import proportion_constraints
+from tests import oracle
 
 pytestmark = pytest.mark.solver
 
@@ -121,7 +127,8 @@ def _solve_outcome(relation, constraints, k, strategy, max_steps):
 
 
 class TestBackendByteIdentity:
-    """reference and vectorized engines agree on every observable byte."""
+    """The columnar engine and the dict-state oracle agree on every
+    observable byte."""
 
     @given(
         relations(),
@@ -131,10 +138,9 @@ class TestBackendByteIdentity:
     )
     @settings(max_examples=50, deadline=None)
     def test_unbudgeted_solves_identical(self, relation, sigma_set, k, strategy):
-        with use_kernel_backend("reference"):
+        with oracle.injected():
             ref = _solve_outcome(relation, sigma_set, k, strategy, None)
-        with use_kernel_backend("vectorized"):
-            vec = _solve_outcome(relation, sigma_set, k, strategy, None)
+        vec = _solve_outcome(relation, sigma_set, k, strategy, None)
         assert vec == ref
 
     @given(
@@ -147,12 +153,11 @@ class TestBackendByteIdentity:
         self, relation, sigma_set, max_steps
     ):
         """The ``SearchBudgetExceeded.partial`` payload — live-assignment
-        snapshot and partial stats — is backend-invariant, and so is the
+        snapshot and partial stats — equals the oracle's, and so does the
         *decision* to raise at all."""
-        with use_kernel_backend("reference"):
+        with oracle.injected():
             ref = _solve_outcome(relation, sigma_set, 2, "maxfanout", max_steps)
-        with use_kernel_backend("vectorized"):
-            vec = _solve_outcome(relation, sigma_set, 2, "maxfanout", max_steps)
+        vec = _solve_outcome(relation, sigma_set, 2, "maxfanout", max_steps)
         assert vec == ref
 
     @given(relations(min_rows=6, max_rows=16), constraint_sets())
@@ -160,57 +165,86 @@ class TestBackendByteIdentity:
     def test_consistent_count_matches_reference(self, relation, sigma_set):
         """The engine's window check over live counter arrays returns the
         same per-node counts the reference derives per call (the MinChoice
-        strategy's steering signal)."""
+        strategy's steering signal), and each candidate's verdict equals
+        the oracle's non-incremental re-suppress-and-recount check."""
         counts = {}
-        for backend in ("reference", "vectorized"):
-            with use_kernel_backend(backend):
+        for use_oracle in (True, False):
+            with oracle.injected() if use_oracle else nullcontext():
                 search = ColoringSearch(relation, sigma_set, 2)
-                counts[backend] = [
+                counts[use_oracle] = [
                     search.consistent_count(i)
                     for i in range(len(search.graph))
                 ]
-        assert counts["vectorized"] == counts["reference"]
+        assert counts[False] == counts[True]
+        for i in range(len(search.graph)):
+            for candidate in search.candidates(i):
+                assert search._consistent(candidate) == oracle.is_consistent(
+                    search, candidate, {}
+                )
+
+    @given(relations(min_rows=4, max_rows=16), constraint_sets(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_resolver_records_match_reference(self, relation, sigma_set, data):
+        """Memoized contribution records — what the exact engine and the
+        approximation tier both read — equal the oracle's per-node
+        ``preserved_count_reference`` contributions, at any memo
+        temperature (records resolve twice: miss, then hit)."""
+        graph = build_graph(relation, sigma_set)
+        tids = sorted(relation.tids)
+        clusters = data.draw(
+            st.lists(
+                st.sets(st.sampled_from(tids), min_size=1).map(frozenset),
+                max_size=6,
+            ),
+            label="clusters",
+        )
+        expected = [
+            oracle.cluster_contributions_reference(relation, graph, c)
+            for c in clusters
+        ]
+        resolver = ContributionResolver(get_index(relation), graph)
+        assert resolver.records(clusters) == expected
+        assert resolver.records(clusters) == expected
 
 
 class TestLiveCounterViews:
-    """The engine's array state, read back as dicts, mirrors the reference
-    bookkeeping through apply/revert cycles."""
+    """The engine's array state, read back as dicts, mirrors the oracle's
+    dict bookkeeping through apply/revert cycles."""
 
     def _pair(self, relation, constraints, k=2):
-        with use_kernel_backend("reference"):
+        with oracle.injected():
             ref = ColoringSearch(relation, constraints, k)
-        with use_kernel_backend("vectorized"):
-            vec = ColoringSearch(relation, constraints, k)
-        return ref, vec
+        vec = ColoringSearch(relation, constraints, k)
+        assert vec._candidates == ref._candidates
+        return ref._engine, vec._engine, ref._candidates
 
     def _assert_state_equal(self, ref, vec):
-        assert vec._counts == ref._counts
-        assert vec._uppers == ref._uppers
-        assert vec._cluster_refs == ref._cluster_refs
-        assert vec._covered == ref._covered
+        assert vec.counts_view() == ref.counts_view()
+        assert vec.uppers_view() == ref.uppers_view()
+        assert vec.cluster_refs_view() == ref.cluster_refs_view()
+        assert vec.covered_view() == ref.covered_view()
 
     def test_views_track_apply_revert(self, paper_relation, paper_constraints):
-        ref, vec = self._pair(paper_relation, paper_constraints)
+        ref, vec, candidates = self._pair(paper_relation, paper_constraints)
         self._assert_state_equal(ref, vec)
-        candidate = ref._candidates[0][0]
-        assert vec._candidates[0][0] == candidate
-        ref._apply(candidate)
-        vec._apply(candidate)
+        candidate = candidates[0][0]
+        ref.apply(candidate)
+        vec.apply(candidate)
         self._assert_state_equal(ref, vec)
-        assert vec._covered  # the apply actually covered tuples
-        ref._revert(candidate)
-        vec._revert(candidate)
+        assert vec.covered_view()  # the apply actually covered tuples
+        ref.revert(candidate)
+        vec.revert(candidate)
         self._assert_state_equal(ref, vec)
-        assert not vec._covered and not vec._cluster_refs
+        assert not vec.covered_view() and not vec.cluster_refs_view()
 
     def test_contributions_match_reference(
         self, paper_relation, paper_constraints
     ):
-        ref, vec = self._pair(paper_relation, paper_constraints)
-        for node_candidates in ref._candidates.values():
+        ref, vec, candidates = self._pair(paper_relation, paper_constraints)
+        for node_candidates in candidates.values():
             for candidate in node_candidates:
                 for cluster in candidate:
-                    assert vec._contributions(cluster) == ref._contributions(
+                    assert vec.contributions(cluster) == ref.contributions(
                         cluster
                     )
 
@@ -221,14 +255,13 @@ class TestContributionMemo:
     def test_warm_memo_does_not_change_results(
         self, paper_relation, paper_constraints
     ):
-        with use_kernel_backend("vectorized"):
-            get_contribution_memo().clear()
-            cold = _solve_outcome(
-                paper_relation, paper_constraints, 2, "maxfanout", None
-            )
-            warm = _solve_outcome(
-                paper_relation, paper_constraints, 2, "maxfanout", None
-            )
+        get_contribution_memo().clear()
+        cold = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
+        warm = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
         assert warm == cold
 
     def test_content_addressing_across_relation_objects(
@@ -243,16 +276,13 @@ class TestContributionMemo:
             tids=list(paper_relation.tids),
         )
         memo = get_contribution_memo()
-        with use_kernel_backend("vectorized"):
-            memo.clear()
-            first = _solve_outcome(
-                paper_relation, paper_constraints, 2, "maxfanout", None
-            )
-            before = dict(memo.stats())
-            second = _solve_outcome(
-                clone, paper_constraints, 2, "maxfanout", None
-            )
-            after = dict(memo.stats())
+        memo.clear()
+        first = _solve_outcome(
+            paper_relation, paper_constraints, 2, "maxfanout", None
+        )
+        before = dict(memo.stats())
+        second = _solve_outcome(clone, paper_constraints, 2, "maxfanout", None)
+        after = dict(memo.stats())
         assert second["stats"] == first["stats"]
         assert second["assignment"] == first["assignment"]
         # Every record the clone needed was already memoized by the first
@@ -278,8 +308,8 @@ class TestContributionMemo:
 
 def _register_all_static(search):
     """Score every distinct static candidate cluster up front — the eager
-    registration the search used to do at construction — on either
-    backend."""
+    registration the search used to do at construction — on the engine or
+    on the oracle."""
     static = list(
         dict.fromkeys(
             cluster
@@ -288,11 +318,7 @@ def _register_all_static(search):
             for cluster in clustering
         )
     )
-    if search._engine is not None:
-        search._engine.register(static)
-    else:
-        for cluster in static:
-            search._contrib[cluster] = search._cluster_contributions(cluster)
+    search._engine.register(static)
     return static
 
 
@@ -309,27 +335,26 @@ class TestLazyRegistration:
 
     def test_only_probed_clusters_are_scored(self, census_case):
         relation, sigma = census_case
-        with use_kernel_backend("vectorized"):
-            get_contribution_memo().clear()
-            search = ColoringSearch(relation, sigma, 5)
-            engine = search._engine
-            assert engine.batch_scored == 0  # construction scores nothing
-            probed: list = []
-            consistent = engine.consistent
-            dynamic = engine.dynamic_candidates
+        get_contribution_memo().clear()
+        search = ColoringSearch(relation, sigma, 5)
+        engine = search._engine
+        assert engine.batch_scored == 0  # construction scores nothing
+        probed: list = []
+        consistent = engine.consistent
+        dynamic = engine.dynamic_candidates
 
-            def record_consistent(candidate):
-                probed.append(candidate)
-                return consistent(candidate)
+        def record_consistent(candidate):
+            probed.append(candidate)
+            return consistent(candidate)
 
-            def record_dynamic(index):
-                out = dynamic(index)
-                probed.extend(out)
-                return out
+        def record_dynamic(index):
+            out = dynamic(index)
+            probed.extend(out)
+            return out
 
-            engine.consistent = record_consistent
-            engine.dynamic_candidates = record_dynamic
-            assert search.run().success
+        engine.consistent = record_consistent
+        engine.dynamic_candidates = record_dynamic
+        assert search.run().success
         static = {
             cluster
             for pool in search._candidates.values()
@@ -358,20 +383,19 @@ class TestLazyRegistration:
         monkeypatch.setattr(
             RelationIndex, "preserved_count_batch", counting_kernel
         )
-        with use_kernel_backend("vectorized"):
-            get_contribution_memo().clear()
-            search = ColoringSearch(relation, sigma, 5, strategy="minchoice")
-            engine = search._engine
-            count = engine.consistent_count
+        get_contribution_memo().clear()
+        search = ColoringSearch(relation, sigma, 5, strategy="minchoice")
+        engine = search._engine
+        count = engine.consistent_count
 
-            def record_count(candidates):
-                calls["in_pool"] = 0
-                out = count(candidates)
-                per_pool.append((calls["in_pool"], len(candidates)))
-                return out
+        def record_count(candidates):
+            calls["in_pool"] = 0
+            out = count(candidates)
+            per_pool.append((calls["in_pool"], len(candidates)))
+            return out
 
-            engine.consistent_count = record_count
-            assert search.run().success
+        engine.consistent_count = record_count
+        assert search.run().success
         n_qi = len(engine.resolver.qi_nodes)
         assert per_pool
         assert all(kernel_calls in (0, n_qi) for kernel_calls, _ in per_pool)
@@ -387,7 +411,8 @@ class TestLazyRegistration:
         self, census_case, backend, strategy, monkeypatch
     ):
         """Releases, ``SearchStats``, RNG streams and budget partials are
-        those of a search that scored every static cluster up front."""
+        those of a search that scored every static cluster up front — on
+        the engine and on the injected oracle (``reference``)."""
         relation, sigma = census_case
 
         def outcomes():
@@ -400,7 +425,7 @@ class TestLazyRegistration:
                 budget,
             )
 
-        with use_kernel_backend(backend):
+        with oracle.injected() if backend == "reference" else nullcontext():
             lazy = outcomes()
             init = ColoringSearch.__init__
 

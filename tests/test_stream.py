@@ -9,6 +9,8 @@ cost within a bounded factor.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,12 +19,14 @@ from repro import obs
 from repro.core.constraints import ConstraintSet, DiversityConstraint
 from repro.core.coloring import SearchBudgetExceeded
 from repro.core.diva import run_diva
+from repro.core.enumeration import get_enum_memo
 from repro.core.errors import UnsatisfiableError
-from repro.core.index import use_kernel_backend
+from repro.core.searchstate import get_contribution_memo
 from repro.data.datasets import make_census, make_running_example
 from repro.data.relation import STAR, Relation, Schema, generalizes
 from repro.metrics.stats import is_k_anonymous
 from repro.stream import (
+    AdmissionState,
     ReleaseLedger,
     ReleaseValidationError,
     StreamingAnonymizer,
@@ -30,6 +34,7 @@ from repro.stream import (
     validate_release,
 )
 from repro.workloads.constraint_gen import proportion_constraints
+from tests import oracle
 
 pytestmark = pytest.mark.stream
 
@@ -215,12 +220,15 @@ class TestExtend:
             previous = release.relation
 
     def test_backend_equivalence(self):
+        """The stream publishes the same releases whether its recompute
+        runs search and enumerate on the production engines or on the
+        injected oracle."""
         relation = make_census(seed=7, n_rows=240)
         sigma = proportion_constraints(relation, 3, k=3, seed=7)
         rows = [row for _, row in relation]
         outputs = []
-        for backend in ("reference", "vectorized"):
-            with use_kernel_backend(backend):
+        for use_oracle in (True, False):
+            with oracle.injected() if use_oracle else nullcontext():
                 engine = StreamingAnonymizer(
                     relation.schema, sigma, 3, bootstrap=120, seed=0
                 )
@@ -444,6 +452,23 @@ class TestObservability:
         assert span_names <= set(obs.ALL_SPANS)
         assert set(counters) <= set(obs.ALL_COUNTERS)
 
+    def test_full_recompute_moves_memo_counters(self, ab_schema):
+        """Both process-global memos report per-engine deltas: a cold
+        full-recompute publish misses in each, the same publish replayed by
+        a second engine hits in each."""
+        get_enum_memo().clear()
+        get_contribution_memo().clear()
+        engines = []
+        for _ in range(2):
+            engine = StreamingAnonymizer(ab_schema, tight_sigma(), 2, bootstrap=4)
+            assert engine.ingest(BOOT_ROWS).mode == "bootstrap"
+            assert engine.stats.full_recomputes == 1
+            engines.append(engine.stats)
+        cold, warm = engines
+        assert cold.enum_memo_misses > 0 and cold.search_memo_misses > 0
+        assert warm.enum_memo_hits > 0 and warm.search_memo_hits > 0
+        assert warm.enum_memo_misses == 0 and warm.search_memo_misses == 0
+
     def test_stats_mirror_counters(self, ab_schema):
         engine = StreamingAnonymizer(ab_schema, ConstraintSet(), 2, bootstrap=4)
         engine.ingest(BOOT_ROWS)
@@ -535,6 +560,62 @@ class TestEquivalenceProperty:
             f"incremental cost {inc_stars} exceeds bound {budget} "
             f"(full run: {full_stars})"
         )
+
+    @given(
+        streamed_instance(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B", "S"]), st.integers(0, 2)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(["empty", "raw", "suppressed"]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_admission_seeds_match_row_scan(self, instance, picks, release_kind):
+        """Extend-pass running counts and per-group σ matches — seeded from
+        the index's ``Iσ`` — equal ``sigma.count`` and a row scan of the
+        release, suppressed (STAR cells) and empty releases included."""
+        rows, _ = instance
+        schema = Schema.from_names(qi=["A", "B"], sensitive=["S"])
+        domains = {"A": VALUES_A, "B": VALUES_B, "S": VALUES_S}
+        sigma = ConstraintSet(
+            list(
+                dict.fromkeys(
+                    DiversityConstraint(
+                        attr, domains[attr][i % len(domains[attr])], 0, 99
+                    )
+                    for attr, i in picks
+                )
+            )
+        )
+        relation = Relation(schema, rows)
+        if release_kind == "empty":
+            release = Relation(schema, [])
+        elif release_kind == "raw":
+            release = relation
+        else:
+            release = run_diva(relation, ConstraintSet(), 2, seed=0).relation
+        state = AdmissionState(release, sigma)
+        assert state.counts == {s: s.count(release) for s in sigma}
+        for group in state._groups:
+            members = [release.row(tid) for tid in group.tids]
+            assert state._seed_matches(group) == {
+                s: sum(
+                    1
+                    for row in members
+                    if all(
+                        row[schema.position(attr)] == value
+                        for attr, value in zip(s.attrs, s.values)
+                    )
+                )
+                for s in sigma
+            }
+        if release_kind == "empty":
+            assert not state._groups
+            assert state.try_admit(10_000, rows[0]) is False
+            assert len(state.materialize()) == 0
 
 class TestBudgetExhaustion:
     """The ``except (UnsatisfiableError, SearchBudgetExceeded)`` arms in
