@@ -26,7 +26,6 @@ import numpy as np
 from .. import obs
 from ..data.relation import Relation
 from .constraints import DiversityConstraint
-from .costmodel import enumeration_size_caps
 from .enumeration import enumerate_pool
 from .index import get_index
 
@@ -84,6 +83,17 @@ def preserved_count(
     return get_index(relation).preserved_count_many(clusters, sigma)
 
 
+def size_caps(lo: int, hi: int, budget: int) -> dict[int, int]:
+    """Per-subset-size sampling caps: the oversampling ``budget`` split
+    flat across the sizes ``lo..hi``, at least 8 each.
+
+    The caps feed the enumeration memo key, and the test oracle receives
+    the same dict, so engine, oracle and memo always agree.
+    """
+    base = max(8, budget // max(1, hi + 1 - lo))
+    return {s: base for s in range(lo, hi + 1)}
+
+
 def enumerate_clusterings(
     relation: Relation,
     sigma: DiversityConstraint,
@@ -105,9 +115,9 @@ def enumerate_clusterings(
     builder already has it).
 
     Generation runs on the memoized rank-space engine
-    (:mod:`repro.core.enumeration`) under the cost-model per-size sampling
-    caps, inside the ``enum.generate`` span, and reports subsets-generated
-    / dominated-pruned counters.
+    (:mod:`repro.core.enumeration`) under flat per-size sampling caps
+    (:func:`size_caps`), inside the ``enum.generate`` span, and reports
+    subsets-generated / dominated-pruned counters.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -135,7 +145,7 @@ def enumerate_clusterings(
         return candidates
 
     budget = max_candidates * 3  # oversample, then keep the cheapest
-    caps = enumeration_size_caps(lo, hi, budget, k, schema=relation.schema)
+    caps = size_caps(lo, hi, budget)
     with obs.span(obs.SPAN_ENUM_GENERATE):
         body, generated, pruned = enumerate_pool(
             get_index(relation),

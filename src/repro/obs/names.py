@@ -100,8 +100,8 @@ PARALLEL_TASKS_CANCELLED = "parallel.tasks_cancelled"
 PARALLEL_STRAGGLER_WAIT_NS = "parallel.straggler_wait_ns"
 
 #: Parallel runtime: summed observed per-component solve wall clock, in
-#: nanoseconds — the measurement stream feeding the adaptive cost model
-#: (:mod:`repro.core.costmodel`).
+#: nanoseconds (telemetry: compare with the run's wall to read pool
+#: utilization).
 PARALLEL_COMPONENT_WALL_NS = "parallel.component_wall_ns"
 
 #: Shared-memory relation transport: segments/bytes exported once per pooled

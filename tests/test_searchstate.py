@@ -224,6 +224,41 @@ class TestLiveCounterViews:
         assert vec.cluster_refs_view() == ref.cluster_refs_view()
         assert vec.covered_view() == ref.covered_view()
 
+    def _walk(self, ref, vec, candidates, seed, steps=40):
+        """Seeded apply/revert walk over every node's candidates, comparing
+        the views after each step.  Reverts pick any live candidate (not
+        only the latest) and applies re-pick live ones, so clusters reach
+        refcount > 1.  Returns which of those two moves the walk made."""
+        rng = np.random.default_rng(seed)
+        pool = [c for node in sorted(candidates) for c in candidates[node] if c]
+        live: list = []
+        moves = {"out_of_order_revert": False, "reapply": False}
+        for _ in range(steps):
+            if live and rng.random() < 0.4:
+                at = int(rng.integers(len(live)))
+                moves["out_of_order_revert"] |= at != len(live) - 1
+                candidate = live.pop(at)
+                ref.revert(candidate)
+                vec.revert(candidate)
+            else:
+                if live and rng.random() < 0.3:
+                    candidate = live[int(rng.integers(len(live)))]
+                    moves["reapply"] = True
+                else:
+                    candidate = pool[int(rng.integers(len(pool)))]
+                live.append(candidate)
+                ref.apply(candidate)
+                vec.apply(candidate)
+            self._assert_state_equal(ref, vec)
+        while live:
+            candidate = live.pop()
+            ref.revert(candidate)
+            vec.revert(candidate)
+            self._assert_state_equal(ref, vec)
+        assert not vec.covered_view() and not vec.cluster_refs_view()
+        assert not any(vec.counts_view().values())
+        return moves
+
     def test_views_track_apply_revert(self, paper_relation, paper_constraints):
         ref, vec, candidates = self._pair(paper_relation, paper_constraints)
         self._assert_state_equal(ref, vec)
@@ -236,6 +271,15 @@ class TestLiveCounterViews:
         vec.revert(candidate)
         self._assert_state_equal(ref, vec)
         assert not vec.covered_view() and not vec.cluster_refs_view()
+
+        seen = {"out_of_order_revert": False, "reapply": False}
+        for seed in range(6):
+            relation = make_census(seed=seed, n_rows=300)
+            sigma = proportion_constraints(relation, 5, k=5, seed=seed)
+            ref, vec, candidates = self._pair(relation, sigma, k=5)
+            moves = self._walk(ref, vec, candidates, seed)
+            seen = {move: seen[move] or moves[move] for move in seen}
+        assert all(seen.values())
 
     def test_contributions_match_reference(
         self, paper_relation, paper_constraints
